@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import families
 from .bounds import verify_theorem
-from .errors import ToughlabError
+from .errors import MalformedGraph6, ToughlabError
 from .graph import (
     Graph,
     NotRegular,
@@ -50,13 +50,18 @@ DEFAULT_SEED = 42
 
 def _read_graph(path: str) -> Graph:
     text = sys.stdin.read() if path == "-" else Path(path).read_text()
-    first = next((ln for ln in text.splitlines() if ln.strip()), "")
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    first = lines[0] if lines else ""
     parts = first.split()
     looks_like_edgelist = len(parts) == 2 and all(
         p.lstrip("-").isdigit() for p in parts
     )
     if looks_like_edgelist:
         return parse_edge_list(text)
+    if len(lines) > 1:
+        raise MalformedGraph6(
+            f"{len(lines)} graph6 lines in {path}; analyze reads exactly one graph"
+        )
     return parse_graph6(first)
 
 

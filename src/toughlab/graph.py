@@ -2,13 +2,17 @@
 
 Vertices are labelled 0..n-1 and each adjacency row is a Python int used as a
 bitmask, so set intersections and edge counts reduce to ``&`` and
-``int.bit_count``.  Everything here is pure and hashable; graphs never mutate
-after construction.
+``int.bit_count``.  Everything here is pure and hashable.  A graph's fields
+never change after construction; a graph with at most ``HALF_TABLE_MAX_N``
+vertices also builds, on first use, a cached neighbourhood table that the
+component counter reads.  The table is not a field, so equality, hashing,
+``repr`` and the graph6 encoding ignore it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -23,6 +27,13 @@ from .errors import (
 # hopeless far below this anyway; the cap keeps every bitmask in one or two
 # machine words on CPython.
 MAX_VERTICES = 64
+
+# Largest n whose graphs count components with the half tables of
+# ``Graph._half_tables``: 2^ceil(n/2) entries per table, 4096 at n = 24, the
+# default exact-toughness cap.  Past it the tables grow as 2^(n/2) while the
+# exhaustive searches no longer run by default, so larger graphs use a
+# per-vertex BFS.
+HALF_TABLE_MAX_N = 24
 
 GRAPH6_HEADER = ">>graph6<<"
 
@@ -124,6 +135,17 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)
 
+    @cached_property
+    def _half_tables(self) -> tuple[int, int, list[int], list[int]]:
+        """``(w, low, lo, hi)`` for the split of 0..n-1 at w = ceil(n/2).
+
+        ``low`` masks vertices 0..w-1.  ``lo[x]`` is the neighbourhood of the
+        vertex set ``x`` inside the low half and ``hi[y]`` that of ``y << w``,
+        so N(S) = lo[S & low] | hi[S >> w] for any vertex set S.
+        """
+        w = (self.n + 1) // 2
+        return w, (1 << w) - 1, _union_table(self.adj[:w]), _union_table(self.adj[w:])
+
 
 @dataclass(frozen=True)
 class NotRegular:
@@ -158,12 +180,40 @@ def components(g: Graph, removed: VertexSet) -> list[VertexSet]:
     if removed.n != g.n:
         raise ValueError("removed set has wrong ambient size")
     avail = ~removed.bits & (1 << g.n) - 1
-    comps = _component_masks(g.adj, avail)
+    comps = _component_masks(g, avail)
     comps.sort(key=lambda c: (c.bit_count(), c & -c))
     return [VertexSet(g.n, c) for c in comps]
 
 
-def _component_masks(adj: tuple[int, ...], avail: int) -> list[int]:
+def _union_table(rows: tuple[int, ...]) -> list[int]:
+    """``table[x]`` is the union of ``rows[i]`` over the bits i of x."""
+    table = [0] * (1 << len(rows))
+    for x in range(1, len(table)):
+        low = x & -x
+        table[x] = table[x ^ low] | rows[low.bit_length() - 1]
+    return table
+
+
+def _component_masks(g: Graph, avail: int) -> list[int]:
+    if g.n > HALF_TABLE_MAX_N:
+        return _component_masks_bfs(g.adj, avail)
+    # One step per BFS layer: the whole frontier's neighbourhood is two
+    # table lookups, and ``rest`` drops each layer as it is reached.
+    w, low, lo, hi = g._half_tables
+    comps = []
+    rem = avail
+    while rem:
+        frontier = rem & -rem
+        rest = rem ^ frontier
+        while frontier:
+            frontier = (lo[frontier & low] | hi[frontier >> w]) & rest
+            rest ^= frontier
+        comps.append(rem ^ rest)
+        rem = rest
+    return comps
+
+
+def _component_masks_bfs(adj: tuple[int, ...], avail: int) -> list[int]:
     comps = []
     rem = avail
     while rem:
@@ -186,9 +236,11 @@ def _component_masks(adj: tuple[int, ...], avail: int) -> list[int]:
 def count_components(g: Graph, removed_bits: int) -> int:
     """Number of components after deleting the vertices in ``removed_bits``.
 
-    Mask-level fast path for the exhaustive searches.
+    Mask-level fast path for the exhaustive searches: one call per cut.  For
+    n <= ``HALF_TABLE_MAX_N`` each BFS layer costs two lookups in the graph's
+    cached half tables; larger graphs walk the frontier vertex by vertex.
     """
-    return len(_component_masks(g.adj, ~removed_bits & (1 << g.n) - 1))
+    return len(_component_masks(g, ~removed_bits & (1 << g.n) - 1))
 
 
 def e_between(g: Graph, a: VertexSet, b: VertexSet) -> int:
@@ -226,7 +278,7 @@ def regularity(g: Graph) -> int | NotRegular:
 
 
 def is_connected(g: Graph) -> bool:
-    return g.n >= 1 and len(_component_masks(g.adj, (1 << g.n) - 1)) == 1
+    return g.n >= 1 and len(_component_masks(g, (1 << g.n) - 1)) == 1
 
 
 # ---------------------------------------------------------------------------

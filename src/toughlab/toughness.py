@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .errors import DisconnectedGraph, GraphTooLarge, SNotProper
+from .errors import DisconnectedGraph, GraphTooLarge, SNotProper, ToughlabError
 from .graph import Graph, VertexSet, count_components, is_connected
 
 # Past this the subset space is no longer a desk-scale computation.
@@ -32,7 +32,13 @@ def toughness_search_cap() -> int:
     raw = os.environ.get(MAX_N_ENV)
     if raw is None:
         return DEFAULT_MAX_N
-    return int(raw)
+    try:
+        cap = int(raw)
+    except ValueError:
+        raise ToughlabError(f"{MAX_N_ENV}={raw!r} is not an integer") from None
+    if cap < 1:
+        raise ToughlabError(f"{MAX_N_ENV}={cap} is below 1")
+    return cap
 
 
 def _subsets_of_size(n: int, k: int) -> Iterator[int]:
@@ -56,9 +62,13 @@ def exact_toughness(g: Graph, max_n: int | None = None) -> ToughnessResult | Non
 
     Returns None when no proper S disconnects the graph (complete graphs):
     the minimization domain is empty and we do not invent a value.
-    Enumerates S by increasing size s; a whole size class is pruned once
-    s/(n-s) can no longer beat the incumbent (c <= n-s always), at which
-    point no later class can either.
+    Enumerates S by increasing size s, each class in ascending mask order,
+    calling ``count_components`` once per mask.  Within a class the best
+    ratio is s over the largest c, so the scan keeps only that c and the
+    first mask reaching it, comparing s*best_c with best_s*c in integers.  A
+    whole size class is pruned once s/(n-s) can no longer beat the incumbent
+    (c <= n-s always), at which point no later class can either.  The
+    witness is the first mask, in enumeration order, attaining the minimum.
     """
     cap = toughness_search_cap() if max_n is None else max_n
     if g.n > cap:
@@ -71,24 +81,22 @@ def exact_toughness(g: Graph, max_n: int | None = None) -> ToughnessResult | Non
     if g.n < 2:
         raise DisconnectedGraph("toughness needs at least two vertices")
     n = g.n
-    best: Fraction | None = None
-    best_mask = 0
-    best_c = 0
+    best_s = best_c = best_mask = 0
     for s in range(0, n - 1):
-        if best is not None and Fraction(s, n - s) >= best:
+        if best_c and s * best_c >= best_s * (n - s):
             break
+        class_c = 1
+        class_mask = 0
         for mask in _subsets_of_size(n, s):
             c = count_components(g, mask)
-            if c <= 1:
-                continue
-            ratio = Fraction(s, c)
-            if best is None or ratio < best:
-                best = ratio
-                best_mask = mask
-                best_c = c
-    if best is None:
+            if c > class_c:
+                class_c = c
+                class_mask = mask
+        if class_c > 1 and (not best_c or s * best_c < best_s * class_c):
+            best_s, best_c, best_mask = s, class_c, class_mask
+    if not best_c:
         return None
-    return ToughnessResult(best, VertexSet(n, best_mask), best_c)
+    return ToughnessResult(Fraction(best_s, best_c), VertexSet(n, best_mask), best_c)
 
 
 def naive_toughness(g: Graph) -> ToughnessResult | None:
@@ -137,11 +145,12 @@ def is_k_tough(g: Graph, k: Fraction, max_n: int | None = None) -> bool:
     if not is_connected(g):
         raise DisconnectedGraph("k-toughness is defined for connected graphs only")
     n = g.n
+    p, q = k.numerator, k.denominator
     for s in range(0, n - 1):
-        if Fraction(s, n - s) >= k:
+        if s * q >= p * (n - s):
             break
         for mask in _subsets_of_size(n, s):
             c = count_components(g, mask)
-            if c > 1 and Fraction(s, c) < k:
+            if c > 1 and s * q < p * c:
                 return False
     return True

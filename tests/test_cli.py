@@ -114,6 +114,21 @@ class TestAnalyze:
         code, _, _ = run(capsys, "analyze", str(path))
         assert code == 2
 
+    def test_multi_graph_graph6_rejected(self, capsys, tmp_path):
+        from toughlab.families import cycle
+        path = tmp_path / "two.g6"
+        path.write_text(emit_graph6(petersen()) + "\n\n" + emit_graph6(cycle(5)) + "\n")
+        code, out, err = run(capsys, "analyze", str(path))
+        assert code == 2 and out == ""
+        assert "2 graph6 lines" in err
+
+    @pytest.mark.parametrize("raw", ["abc", "-3", "0"])
+    def test_invalid_cap_env_exit_2(self, capsys, petersen_file, monkeypatch, raw):
+        monkeypatch.setenv("TOUGHLAB_MAX_N", raw)
+        code, out, err = run(capsys, "analyze", petersen_file, "--toughness")
+        assert code == 2 and out == ""
+        assert "TOUGHLAB_MAX_N" in err
+
     def test_toughness_cap_exit_2(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("TOUGHLAB_MAX_N", "5")
         from toughlab.families import cycle

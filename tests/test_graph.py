@@ -19,7 +19,7 @@ from toughlab.errors import (
     TooManyVertices,
 )
 from toughlab.families import cycle, complete, kneser, petersen
-from toughlab.graph import NotRegular
+from toughlab.graph import HALF_TABLE_MAX_N, NotRegular, count_components
 
 from conftest import independent_sets_of_size
 
@@ -131,6 +131,40 @@ class TestComponents:
         g = from_edge_list(5, [(0, 1), (2, 3)])
         comps = components(g, VertexSet(5))
         assert [c.members() for c in comps] == [(4,), (0, 1), (2, 3)]
+
+
+def union_find_groups(g, keep):
+    """Vertex sets of the components of G[keep], by union-find over edges."""
+    parent = list(range(g.n))
+
+    def root(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for u, v in g.edges():
+        if keep >> u & 1 and keep >> v & 1:
+            parent[root(u)] = root(v)
+    groups = {}
+    for v in range(g.n):
+        if keep >> v & 1:
+            groups.setdefault(root(v), set()).add(v)
+    return sorted(map(sorted, groups.values()))
+
+
+class TestComponentKernel:
+    @given(graphs(HALF_TABLE_MAX_N + 6), st.data())
+    def test_matches_union_find(self, g, data):
+        # n up to 30 crosses the switch from the half-table kernel to the
+        # per-vertex BFS at HALF_TABLE_MAX_N.
+        removed = data.draw(vertex_subsets(g))
+        expected = union_find_groups(g, removed.complement().bits)
+        comps = components(g, removed)
+        assert sorted(list(c.members()) for c in comps) == expected
+        assert count_components(g, removed.bits) == len(expected)
+        for c in comps:
+            assert len(union_find_groups(g, c.bits)) == 1
 
 
 class TestEdgeCounters:

@@ -9,16 +9,24 @@ from toughlab import (
     naive_toughness,
     toughness_of_cut,
 )
-from toughlab.errors import DisconnectedGraph, GraphTooLarge, SNotProper
+from toughlab.errors import (
+    DisconnectedGraph,
+    GraphTooLarge,
+    SNotProper,
+    ToughlabError,
+)
 from toughlab.families import (
+    build,
     complete,
     complete_bipartite,
     cycle,
     hypercube,
+    parse_family_spec,
     petersen,
     random_regular,
 )
 from toughlab.graph import from_edge_list
+from toughlab.toughness import toughness_search_cap
 
 
 def test_complete_graph_undefined():
@@ -65,6 +73,32 @@ def test_size_cap_env_override(monkeypatch):
         exact_toughness(cycle(12))
     monkeypatch.setenv("TOUGHLAB_MAX_N", "12")
     assert exact_toughness(cycle(12)).t == Fraction(1)
+
+
+@pytest.mark.parametrize("raw", ["abc", "1.5", "", "-3", "0"])
+def test_size_cap_env_rejects_non_positive_integers(monkeypatch, raw):
+    monkeypatch.setenv("TOUGHLAB_MAX_N", raw)
+    with pytest.raises(ToughlabError, match="TOUGHLAB_MAX_N"):
+        toughness_search_cap()
+
+
+@pytest.mark.parametrize(
+    "spec, t, witness, comps",
+    [
+        ("petersen", Fraction(4, 3), (0, 1, 3, 6), 3),
+        ("hypercube 3", Fraction(1), (0, 3, 5, 6), 4),
+        ("complete_bipartite 3 3", Fraction(1), (0, 1, 2), 3),
+        ("random_regular 10 3 7", Fraction(4, 3), (0, 2, 3, 7), 3),
+        ("random_regular 16 3 1", Fraction(7, 6), (1, 6, 7, 9, 10, 13, 15), 6),
+        ("circulant 12 1 5", Fraction(1), (0, 2, 4, 6, 8, 10), 6),
+    ],
+)
+def test_pinned_witnesses(spec, t, witness, comps):
+    # The witness is the first cut in enumeration order (size, then
+    # ascending mask) that attains t; these values fix that order.
+    result = exact_toughness(build(parse_family_spec(spec)))
+    assert (result.t, result.witness.members(), result.components) == (
+        t, witness, comps)
 
 
 def test_toughness_of_cut_examples():
