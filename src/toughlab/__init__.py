@@ -7,7 +7,6 @@ from .bounds import (
     brouwer_bound,
     gu_bound,
     theorem_bound,
-    tightness_gap,
     verify_theorem,
 )
 from .errors import ToughlabError
@@ -42,7 +41,7 @@ from .partition import (
     claim2_partition,
     index_subset,
 )
-from .spectra import SpectralProfile, check_regular_spectrum, second_largest_abs, spectrum
+from .spectra import SpectralProfile, check_regular_spectrum, spectrum
 from .toughness import (
     ToughnessResult,
     exact_toughness,
@@ -87,10 +86,8 @@ __all__ = [
     "parse_graph6",
     "regularity",
     "sampled_mixing_verify",
-    "second_largest_abs",
     "spectrum",
     "theorem_bound",
-    "tightness_gap",
     "toughness_of_cut",
     "verify_component_bound",
     "verify_theorem",

@@ -17,8 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DisconnectedGraph, NotRegularGraph
-from .graph import Graph, NotRegular, is_connected, regularity
+from .graph import Graph, _require_connected, _require_regular
 from .spectra import LAMBDA_EPS, SpectralProfile, spectrum
 from .toughness import ToughnessResult, exact_toughness, toughness_search_cap
 
@@ -53,14 +52,15 @@ class BoundReport:
             "brouwer": self.brouwer,
             "gu": self.gu,
             "theorem": self.theorem,
-            "exact_t": (
-                None if self.exact_t is None
-                else {"num": self.exact_t.numerator, "den": self.exact_t.denominator}
-            ),
+            "exact_t": None if self.exact_t is None else _rational_dict(self.exact_t),
             "slack": self.slack,
             "tight_gap": self.tight_gap,
             "violation": self.violation,
         }
+
+
+def _rational_dict(frac: Fraction) -> dict:
+    return {"num": frac.numerator, "den": frac.denominator}
 
 
 def _check_lambda(lam: float) -> None:
@@ -88,17 +88,6 @@ def theorem_bound(d: int, lam: float) -> float:
     return d / lam - 1.0
 
 
-def _require_connected_regular(g: Graph) -> int:
-    d = regularity(g)
-    if isinstance(d, NotRegular):
-        raise NotRegularGraph(
-            f"vertex {d.vertex} has degree {d.degree}, graph is not regular"
-        )
-    if not is_connected(g):
-        raise DisconnectedGraph("bound verification needs a connected graph")
-    return d
-
-
 def verify_theorem(
     g: Graph,
     profile: SpectralProfile | None = None,
@@ -111,7 +100,8 @@ def verify_theorem(
     exact search runs here when the graph is within the size cap.  Graphs
     over the cap get a report with ``exact_t`` None.
     """
-    d = _require_connected_regular(g)
+    d = _require_regular(g)
+    _require_connected(g, "bound verification")
     if profile is None:
         profile = spectrum(g)
     lam = profile.lam
@@ -144,19 +134,3 @@ def verify_theorem(
         tight_gap=tight_gap,
         violation=violation,
     )
-
-
-def tightness_gap(g: Graph) -> float | None:
-    """d/lam - t(G); how close the graph sits to the d/lam ceiling.
-
-    Informational only; the sign rests on external literature claims.  None
-    when toughness is undefined.
-    """
-    d = _require_connected_regular(g)
-    lam = spectrum(g).lam
-    if lam is None or lam <= 0.0:
-        raise ValueError("second largest absolute eigenvalue unavailable or nonpositive")
-    result = exact_toughness(g)
-    if result is None:
-        return None
-    return d / lam - float(result.t)

@@ -2,18 +2,19 @@
 and verify the whole corpus.
 
 Exit codes are a stable contract for CI: 0 success, 2 usage or input error,
-3 verification violation.
+3 verification violation, 141 stdout closed by its reader.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
 from . import families
-from .bounds import verify_theorem
+from .bounds import _rational_dict, verify_theorem
 from .errors import MalformedGraph6, ToughlabError
 from .graph import (
     Graph,
@@ -29,6 +30,7 @@ from .graph import (
 from .mixing import (
     EXHAUSTIVE_MAX_N,
     COMPONENT_BOUND_MAX_N,
+    MixingCheck,
     component_count_bound,
     exhaustive_mixing_verify,
     sampled_mixing_verify,
@@ -41,6 +43,8 @@ from .toughness import exact_toughness, toughness_search_cap
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_VIOLATION = 3
+# What a shell reports for a process ended by SIGPIPE (128 + 13).
+EXIT_BROKEN_PIPE = 141
 
 REPORT_SCHEMA = "toughlab-report/1"
 
@@ -76,8 +80,11 @@ def cmd_gen(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _rational_dict(frac) -> dict:
-    return {"num": frac.numerator, "den": frac.denominator}
+def _worst_mixing_pair(g: Graph, mode: str, args: argparse.Namespace,
+                       lam: float) -> MixingCheck:
+    if mode == "exhaustive":
+        return exhaustive_mixing_verify(g, lam=lam)
+    return sampled_mixing_verify(g, args.samples, args.seed, lam=lam)
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
@@ -129,16 +136,12 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         violation = violation or bound_report.violation
     if args.mixing:
         assert profile is not None
-        if args.mixing == "exhaustive":
-            worst = exhaustive_mixing_verify(g, lam=profile.lam, strict=False)
-            report["mixing"] = {"mode": "exhaustive", "samples": None,
-                               "seed": None, "worst": worst.to_json_dict()}
-        else:
-            worst = sampled_mixing_verify(
-                g, args.samples, args.seed, lam=profile.lam, strict=False
-            )
-            report["mixing"] = {"mode": "sampled", "samples": args.samples,
-                               "seed": args.seed, "worst": worst.to_json_dict()}
+        worst = _worst_mixing_pair(g, args.mixing, args, profile.lam)
+        sampled = args.mixing == "sampled"
+        report["mixing"] = {"mode": args.mixing,
+                            "samples": args.samples if sampled else None,
+                            "seed": args.seed if sampled else None,
+                            "worst": worst.to_json_dict()}
         violation = violation or worst.slack < -LAMBDA_EPS
     if args.component_bound:
         assert profile is not None
@@ -181,12 +184,8 @@ def cmd_verify_corpus(args: argparse.Namespace) -> int:
         g = families.build(spec)
         profile = spectrum(g)
         report = verify_theorem(g, profile=profile)
-        if g.n <= EXHAUSTIVE_MAX_N:
-            worst = exhaustive_mixing_verify(g, lam=profile.lam, strict=False)
-        else:
-            worst = sampled_mixing_verify(
-                g, args.samples, args.seed, lam=profile.lam, strict=False
-            )
+        mode = "exhaustive" if g.n <= EXHAUSTIVE_MAX_N else "sampled"
+        worst = _worst_mixing_pair(g, mode, args, profile.lam)
         comp_ok = None
         if g.n <= COMPONENT_BOUND_MAX_N:
             comp_ok = verify_component_bound(g, lam=profile.lam)
@@ -252,7 +251,14 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so that a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader left, as ``| head`` does; point stdout at devnull so
+        # that the interpreter's final flush stays quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except (ToughlabError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

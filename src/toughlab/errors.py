@@ -63,7 +63,3 @@ class PreconditionViolated(ToughlabError, ValueError):
 
 class SNotProper(ToughlabError, ValueError):
     """Cut set must be a proper subset of the vertex set."""
-
-
-class VerificationFailed(ToughlabError, AssertionError):
-    """A verified inequality came out violated."""

@@ -16,9 +16,11 @@ from functools import cached_property
 from typing import Iterable, Iterator
 
 from .errors import (
+    DisconnectedGraph,
     EndpointOutOfRange,
     MalformedEdgeList,
     MalformedGraph6,
+    NotRegularGraph,
     SelfLoop,
     TooManyVertices,
 )
@@ -243,6 +245,14 @@ def count_components(g: Graph, removed_bits: int) -> int:
     return len(_component_masks(g, ~removed_bits & (1 << g.n) - 1))
 
 
+def _disconnecting_cuts(g: Graph) -> Iterator[tuple[int, int]]:
+    """``(mask, c)`` for each mask 0..2^n-2 whose removal leaves c >= 2 components."""
+    for mask in range((1 << g.n) - 1):
+        c = count_components(g, mask)
+        if c >= 2:
+            yield mask, c
+
+
 def e_between(g: Graph, a: VertexSet, b: VertexSet) -> int:
     """Edge incidences with one end in ``a`` and the other in ``b``.
 
@@ -279,6 +289,21 @@ def regularity(g: Graph) -> int | NotRegular:
 
 def is_connected(g: Graph) -> bool:
     return g.n >= 1 and len(_component_masks(g, (1 << g.n) - 1)) == 1
+
+
+def _require_regular(g: Graph) -> int:
+    """Common degree of a regular graph; NotRegularGraph names a deviating vertex."""
+    d = regularity(g)
+    if isinstance(d, NotRegular):
+        raise NotRegularGraph(
+            f"vertex {d.vertex} has degree {d.degree}, graph is not regular"
+        )
+    return d
+
+
+def _require_connected(g: Graph, what: str) -> None:
+    if not is_connected(g):
+        raise DisconnectedGraph(f"{what} is defined for connected graphs only")
 
 
 # ---------------------------------------------------------------------------

@@ -18,19 +18,19 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
-from .errors import GraphTooLarge, NotRegularGraph, VerificationFailed
+from .errors import GraphTooLarge
 from .graph import (
     Graph,
-    NotRegular,
     VertexSet,
-    count_components,
+    _disconnecting_cuts,
+    _require_regular,
     components,
     e_between,
     e_within,
-    regularity,
 )
 from .spectra import LAMBDA_EPS, adjacency_matrix, spectrum
 
@@ -56,15 +56,6 @@ class MixingCheck:
             "bound": self.bound,
             "slack": self.slack,
         }
-
-
-def _require_regular(g: Graph) -> int:
-    d = regularity(g)
-    if isinstance(d, NotRegular):
-        raise NotRegularGraph(
-            f"vertex {d.vertex} has degree {d.degree}, graph is not regular"
-        )
-    return d
 
 
 def _lam_of(g: Graph, lam: float | None) -> float:
@@ -119,9 +110,7 @@ def _slack_matrix(g: Graph, d: int, lam: float) -> np.ndarray:
     return bound - np.abs(e - expected)
 
 
-def exhaustive_mixing_verify(g: Graph, lam: float | None = None,
-                             max_n: int = EXHAUSTIVE_MAX_N,
-                             strict: bool = True) -> MixingCheck:
+def exhaustive_mixing_verify(g: Graph, lam: float | None = None) -> MixingCheck:
     """Scan every (A, B) pair and return the minimum-slack check.
 
     The scan itself runs as one vectorized pass; the worst pair is then
@@ -129,23 +118,19 @@ def exhaustive_mixing_verify(g: Graph, lam: float | None = None,
     the same code path as single checks.
     """
     d = _require_regular(g)
-    if g.n > max_n:
-        raise GraphTooLarge(f"exhaustive mixing on n={g.n} exceeds the cap {max_n}")
+    if g.n > EXHAUSTIVE_MAX_N:
+        raise GraphTooLarge(
+            f"exhaustive mixing on n={g.n} exceeds the cap {EXHAUSTIVE_MAX_N}"
+        )
     lam = _lam_of(g, lam)
     slack = _slack_matrix(g, d, lam)
     flat = int(np.argmin(slack))
     a_mask, b_mask = divmod(flat, 1 << g.n)
-    worst = mixing_check(g, VertexSet(g.n, a_mask), VertexSet(g.n, b_mask), lam)
-    if strict and worst.slack < -LAMBDA_EPS:
-        raise VerificationFailed(
-            f"mixing lemma violated: slack {worst.slack} at A={a_mask:#x} B={b_mask:#x}"
-        )
-    return worst
+    return mixing_check(g, VertexSet(g.n, a_mask), VertexSet(g.n, b_mask), lam)
 
 
 def sampled_mixing_verify(g: Graph, samples: int, seed: int,
-                          lam: float | None = None,
-                          strict: bool = True) -> MixingCheck:
+                          lam: float | None = None) -> MixingCheck:
     """Check ``samples`` uniformly random (A, B) pairs, deterministic in seed.
 
     Each set includes every vertex independently with probability 1/2; the
@@ -173,12 +158,9 @@ def sampled_mixing_verify(g: Graph, samples: int, seed: int,
     bound = lam * np.sqrt(sa * sb * (1.0 - sa / n) * (1.0 - sb / n))
     slack = bound - np.abs(e - expected)
     worst_i = int(np.argmin(slack))
-    worst = mixing_check(
+    return mixing_check(
         g, VertexSet(n, int(a_masks[worst_i])), VertexSet(n, int(b_masks[worst_i])), lam
     )
-    if strict and worst.slack < -LAMBDA_EPS:
-        raise VerificationFailed(f"mixing lemma violated on sample {worst_i}")
-    return worst
 
 
 def component_count_bound(g: Graph, lam: float | None = None) -> float:
@@ -188,20 +170,21 @@ def component_count_bound(g: Graph, lam: float | None = None) -> float:
     return lam * g.n / (d + lam)
 
 
-def max_components_over_cuts(g: Graph, max_n: int = COMPONENT_BOUND_MAX_N) -> int:
+def _capped_cuts(g: Graph) -> Iterator[tuple[int, int]]:
+    # Checked at the call, not at the first cut: before any spectrum is computed.
+    if g.n > COMPONENT_BOUND_MAX_N:
+        raise GraphTooLarge(
+            f"cut enumeration on n={g.n} exceeds the cap {COMPONENT_BOUND_MAX_N}"
+        )
+    return _disconnecting_cuts(g)
+
+
+def max_components_over_cuts(g: Graph) -> int:
     """Largest c(G-S) over all proper S that disconnect the graph; 0 if none."""
-    if g.n > max_n:
-        raise GraphTooLarge(f"cut enumeration on n={g.n} exceeds the cap {max_n}")
-    best = 0
-    for mask in range((1 << g.n) - 1):
-        c = count_components(g, mask)
-        if c >= 2:
-            best = max(best, c)
-    return best
+    return max((c for _, c in _capped_cuts(g)), default=0)
 
 
-def verify_component_bound(g: Graph, lam: float | None = None,
-                           max_n: int = COMPONENT_BOUND_MAX_N) -> bool:
+def verify_component_bound(g: Graph, lam: float | None = None) -> bool:
     """Exhaustively confirm the component ceiling on every disconnecting cut.
 
     Also replays the derivation on each cut: picking one vertex per component
@@ -209,14 +192,10 @@ def verify_component_bound(g: Graph, lam: float | None = None,
     inequality on U forces the ceiling.
     """
     d = _require_regular(g)
-    if g.n > max_n:
-        raise GraphTooLarge(f"cut enumeration on n={g.n} exceeds the cap {max_n}")
+    cuts = _capped_cuts(g)
     lam = _lam_of(g, lam)
     ceiling = lam * g.n / (d + lam)
-    for mask in range((1 << g.n) - 1):
-        c = count_components(g, mask)
-        if c < 2:
-            continue
+    for mask, c in cuts:
         if c > ceiling + LAMBDA_EPS:
             return False
         comps = components(g, VertexSet(g.n, mask))

@@ -126,7 +126,7 @@ def claim2_partition(comps: Sequence[VertexSet],
     n = comps[0].n
     largest = sizes[-1]
     if largest >= c:
-        if sum(sizes[:-1]) < c:
+        if not check_claim1_hypothesis(comps):
             raise PreconditionViolated(
                 f"components below the largest total {sum(sizes[:-1])} < c={c}"
             )

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoConvergence, NotRegularGraph, TooFewVertices
-from .graph import Graph, NotRegular, regularity
+from .errors import NoConvergence, TooFewVertices
+from .graph import Graph, _require_regular
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_SWEEPS = 100
@@ -50,15 +50,15 @@ def adjacency_matrix(g: Graph) -> np.ndarray:
     return a
 
 
-def _jacobi_eigh(a0: np.ndarray, tol: float, max_sweeps: int) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic Jacobi sweeps until the off-diagonal Frobenius norm drops below tol."""
+def _jacobi_eigh(a0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cyclic Jacobi sweeps until the off-diagonal norm drops below DEFAULT_TOL."""
     a = a0.copy()
     n = a.shape[0]
     v = np.eye(n)
     off_mask = ~np.eye(n, dtype=bool)
-    for _ in range(max_sweeps):
+    for _ in range(DEFAULT_MAX_SWEEPS):
         off = math.sqrt(float((a[off_mask] ** 2).sum()))
-        if off < tol:
+        if off < DEFAULT_TOL:
             diag = np.diagonal(a).copy()
             return diag, v
         for p in range(n - 1):
@@ -86,19 +86,17 @@ def _jacobi_eigh(a0: np.ndarray, tol: float, max_sweeps: int) -> tuple[np.ndarra
                 v[:, p] = c * vec_p - s * vec_q
                 v[:, q] = s * vec_p + c * vec_q
     raise NoConvergence(
-        f"Jacobi sweeps did not reach off-diagonal norm {tol} in {max_sweeps} sweeps"
+        f"Jacobi sweeps did not reach off-diagonal norm {DEFAULT_TOL} "
+        f"in {DEFAULT_MAX_SWEEPS} sweeps"
     )
 
 
-def spectrum(g: Graph, tol: float = DEFAULT_TOL,
-             max_sweeps: int = DEFAULT_MAX_SWEEPS) -> SpectralProfile:
+def spectrum(g: Graph) -> SpectralProfile:
     """Full adjacency spectrum with eigenpair residuals."""
     if g.n < 1:
         raise TooFewVertices("spectrum needs at least one vertex")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
     a0 = adjacency_matrix(g)
-    diag, vecs = _jacobi_eigh(a0, tol, max_sweeps)
+    diag, vecs = _jacobi_eigh(a0)
     order = np.argsort(-diag, kind="stable")
     eigenvalues = diag[order]
     vecs = vecs[:, order]
@@ -115,20 +113,6 @@ def spectrum(g: Graph, tol: float = DEFAULT_TOL,
     )
 
 
-def second_largest_abs(g: Graph) -> float:
-    """lam = max(|l2|, |ln|) at the default solver tolerance."""
-    if g.n < 2:
-        raise TooFewVertices("second largest absolute eigenvalue needs n >= 2")
-    profile = spectrum(g)
-    assert profile.lam is not None
-    return profile.lam
-
-
 def check_regular_spectrum(g: Graph, profile: SpectralProfile) -> bool:
     """True iff lambda1 matches the common degree within 1e-9."""
-    d = regularity(g)
-    if isinstance(d, NotRegular):
-        raise NotRegularGraph(
-            f"vertex {d.vertex} has degree {d.degree}, graph is not regular"
-        )
-    return abs(profile.lambda1 - d) <= LAMBDA_EPS
+    return abs(profile.lambda1 - _require_regular(g)) <= LAMBDA_EPS

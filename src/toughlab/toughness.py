@@ -14,7 +14,13 @@ from fractions import Fraction
 from typing import Iterator
 
 from .errors import DisconnectedGraph, GraphTooLarge, SNotProper, ToughlabError
-from .graph import Graph, VertexSet, count_components, is_connected
+from .graph import (
+    Graph,
+    VertexSet,
+    _disconnecting_cuts,
+    _require_connected,
+    count_components,
+)
 
 # Past this the subset space is no longer a desk-scale computation.
 DEFAULT_MAX_N = 24
@@ -46,8 +52,6 @@ def _subsets_of_size(n: int, k: int) -> Iterator[int]:
     if k == 0:
         yield 0
         return
-    if k > n:
-        return
     mask = (1 << k) - 1
     limit = 1 << n
     while mask < limit:
@@ -57,27 +61,41 @@ def _subsets_of_size(n: int, k: int) -> Iterator[int]:
         mask = ((ripple ^ mask) >> 2) // low | ripple
 
 
+def _check_cap(g: Graph, max_n: int | None, what: str) -> None:
+    cap = toughness_search_cap() if max_n is None else max_n
+    if g.n > cap:
+        raise GraphTooLarge(
+            f"{what} on n={g.n} exceeds the cap {cap}; "
+            f"raise it explicitly or via {MAX_N_ENV} if you mean it"
+        )
+
+
+def _class_max(g: Graph, s: int) -> tuple[int, int]:
+    """Largest c(G-S) over the s-subsets S, in ascending mask order, and the
+    first mask reaching it; ``(1, 0)`` when no s-subset disconnects G."""
+    best_c, best_mask = 1, 0
+    for mask in _subsets_of_size(g.n, s):
+        c = count_components(g, mask)
+        if c > best_c:
+            best_c, best_mask = c, mask
+    return best_c, best_mask
+
+
 def exact_toughness(g: Graph, max_n: int | None = None) -> ToughnessResult | None:
     """Globally minimal |S|/c(G-S) with a witness cut set.
 
     Returns None when no proper S disconnects the graph (complete graphs):
     the minimization domain is empty and we do not invent a value.
-    Enumerates S by increasing size s, each class in ascending mask order,
-    calling ``count_components`` once per mask.  Within a class the best
-    ratio is s over the largest c, so the scan keeps only that c and the
-    first mask reaching it, comparing s*best_c with best_s*c in integers.  A
-    whole size class is pruned once s/(n-s) can no longer beat the incumbent
-    (c <= n-s always), at which point no later class can either.  The
-    witness is the first mask, in enumeration order, attaining the minimum.
+    Enumerates S by increasing size s, each class in ascending mask order.
+    Within a class the best ratio is s over the largest c, so the scan keeps
+    only that c and the first mask reaching it, comparing s*best_c with
+    best_s*c in integers.  A whole size class is pruned once s/(n-s) can no
+    longer beat the incumbent (c <= n-s always), at which point no later
+    class can either.  The witness is the first mask, in enumeration order,
+    attaining the minimum.
     """
-    cap = toughness_search_cap() if max_n is None else max_n
-    if g.n > cap:
-        raise GraphTooLarge(
-            f"exact toughness on n={g.n} exceeds the cap {cap}; "
-            f"raise it explicitly or via {MAX_N_ENV} if you mean it"
-        )
-    if not is_connected(g):
-        raise DisconnectedGraph("toughness is defined for connected graphs only")
+    _check_cap(g, max_n, "exact toughness")
+    _require_connected(g, "toughness")
     if g.n < 2:
         raise DisconnectedGraph("toughness needs at least two vertices")
     n = g.n
@@ -85,15 +103,9 @@ def exact_toughness(g: Graph, max_n: int | None = None) -> ToughnessResult | Non
     for s in range(0, n - 1):
         if best_c and s * best_c >= best_s * (n - s):
             break
-        class_c = 1
-        class_mask = 0
-        for mask in _subsets_of_size(n, s):
-            c = count_components(g, mask)
-            if c > class_c:
-                class_c = c
-                class_mask = mask
-        if class_c > 1 and (not best_c or s * best_c < best_s * class_c):
-            best_s, best_c, best_mask = s, class_c, class_mask
+        c, mask = _class_max(g, s)
+        if c > 1 and (not best_c or s * best_c < best_s * c):
+            best_s, best_c, best_mask = s, c, mask
     if not best_c:
         return None
     return ToughnessResult(Fraction(best_s, best_c), VertexSet(n, best_mask), best_c)
@@ -101,24 +113,13 @@ def exact_toughness(g: Graph, max_n: int | None = None) -> ToughnessResult | Non
 
 def naive_toughness(g: Graph) -> ToughnessResult | None:
     """Unpruned all-subsets oracle.  Test cross-check only; O(2^n)."""
-    if not is_connected(g):
-        raise DisconnectedGraph("toughness is defined for connected graphs only")
-    n = g.n
-    best: Fraction | None = None
-    best_mask = 0
-    best_c = 0
-    for mask in range((1 << n) - 1):
-        c = count_components(g, mask)
-        if c <= 1:
-            continue
-        ratio = Fraction(mask.bit_count(), c)
-        if best is None or ratio < best:
-            best = ratio
-            best_mask = mask
-            best_c = c
+    _require_connected(g, "toughness")
+    best = min(_disconnecting_cuts(g),
+               key=lambda cut: Fraction(cut[0].bit_count(), cut[1]), default=None)
     if best is None:
         return None
-    return ToughnessResult(best, VertexSet(n, best_mask), best_c)
+    mask, c = best
+    return ToughnessResult(Fraction(mask.bit_count(), c), VertexSet(g.n, mask), c)
 
 
 def toughness_of_cut(g: Graph, s: VertexSet) -> Fraction | None:
@@ -136,21 +137,18 @@ def toughness_of_cut(g: Graph, s: VertexSet) -> Fraction | None:
 def is_k_tough(g: Graph, k: Fraction, max_n: int | None = None) -> bool:
     """True iff every disconnecting S has |S| >= k * c(G-S).
 
-    Early-exits on the first violator; size classes with s/(n-s) >= k cannot
-    contain one, and neither can any later class.
+    Returns False after the first size class holding a violator; size
+    classes with s/(n-s) >= k cannot hold one, and neither can any later
+    class.
     """
-    cap = toughness_search_cap() if max_n is None else max_n
-    if g.n > cap:
-        raise GraphTooLarge(f"is_k_tough on n={g.n} exceeds the cap {cap}")
-    if not is_connected(g):
-        raise DisconnectedGraph("k-toughness is defined for connected graphs only")
+    _check_cap(g, max_n, "is_k_tough")
+    _require_connected(g, "k-toughness")
     n = g.n
     p, q = k.numerator, k.denominator
     for s in range(0, n - 1):
         if s * q >= p * (n - s):
             break
-        for mask in _subsets_of_size(n, s):
-            c = count_components(g, mask)
-            if c > 1 and s * q < p * c:
-                return False
+        c, _ = _class_max(g, s)
+        if c > 1 and s * q < p * c:
+            return False
     return True

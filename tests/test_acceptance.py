@@ -87,12 +87,10 @@ def test_criterion_3_mixing_lemma(corpus, corpus_spectra):
     for spec, g in corpus:
         lam = corpus_spectra[spec].lam
         if g.n <= EXHAUSTIVE_MIXING_CAP:
-            worst = exhaustive_mixing_verify(g, lam=lam, strict=False)
+            worst = exhaustive_mixing_verify(g, lam=lam)
             exhaustive += 1
         else:
-            worst = sampled_mixing_verify(
-                g, MIXING_SAMPLES, MIXING_SEED, lam=lam, strict=False
-            )
+            worst = sampled_mixing_verify(g, MIXING_SAMPLES, MIXING_SEED, lam=lam)
             sampled += 1
         assert worst.slack >= -EPS, spec.label()
     # equality attained on Petersen at an independent-set pair

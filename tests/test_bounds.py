@@ -9,7 +9,6 @@ from toughlab import (
     brouwer_bound,
     gu_bound,
     theorem_bound,
-    tightness_gap,
     verify_theorem,
 )
 from toughlab.errors import DisconnectedGraph, NotRegularGraph
@@ -98,10 +97,13 @@ def test_verify_theorem_rejects_bad_input():
 
 
 def test_tightness_gap():
-    assert tightness_gap(petersen()) == pytest.approx(1 / 6, abs=1e-9)
-    assert tightness_gap(cycle(4)) == pytest.approx(0.0, abs=1e-9)
-    assert tightness_gap(complete_bipartite(3, 3)) == pytest.approx(0.0, abs=1e-9)
-    assert tightness_gap(complete(5)) is None
+    def gap(g):
+        return verify_theorem(g).tight_gap
+
+    assert gap(petersen()) == pytest.approx(1 / 6, abs=1e-9)
+    assert gap(cycle(4)) == pytest.approx(0.0, abs=1e-9)
+    assert gap(complete_bipartite(3, 3)) == pytest.approx(0.0, abs=1e-9)
+    assert gap(complete(5)) is None
 
 
 def test_json_dict_field_names():

@@ -1,6 +1,9 @@
+import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -173,3 +176,43 @@ def test_analyze_byte_identical_across_runs(petersen_file):
     second = subprocess.run(cmd, capture_output=True)
     assert first.returncode == 0
     assert first.stdout == second.stdout
+
+
+def test_verify_corpus_matches_pinned_digest(capsys):
+    # The benchmark pins this table's sha256; a change to any printed digit,
+    # sign or column breaks it here as well as in the benchmark.
+    golden = json.loads(
+        (Path(__file__).resolve().parents[1] / "bench" / "golden.json").read_text())
+    assert main(["verify-corpus", "--seed", "42"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == golden["corpus_sha256"]
+
+
+def test_closed_stdout_exits_141_quietly(tmp_path):
+    # Unbuffered, so the header reaches the pipe at once and the pipe is
+    # closed while the slow second graph is still being checked.
+    manifest = tmp_path / "m.txt"
+    manifest.write_text("cycle 5\nrandom_regular 16 3 1\n")
+    env = {**os.environ, "PYTHONUNBUFFERED": "1"}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "toughlab.cli", "verify-corpus", str(manifest)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline().startswith(b"graph")
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (141, b"")
+
+
+def test_stdout_closed_before_buffered_report_exits_141(petersen_file):
+    # Block-buffered stdout: the report only meets the closed pipe when main
+    # flushes it, which must happen inside main, not at interpreter exit.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "toughlab.cli", "analyze", petersen_file],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, b"")

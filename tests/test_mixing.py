@@ -133,6 +133,14 @@ def test_component_bound_attained():
     assert max_components_over_cuts(complete(4)) == 0
 
 
-def test_component_bound_cap():
+def test_component_bound_cap(monkeypatch):
+    with pytest.raises(GraphTooLarge):
+        max_components_over_cuts(cycle(13))
+
+    def no_spectrum(g):
+        raise AssertionError("spectrum computed before the size cap")
+
+    # The cap is checked before lambda is needed, not at the first cut.
+    monkeypatch.setattr("toughlab.mixing.spectrum", no_spectrum)
     with pytest.raises(GraphTooLarge):
         verify_component_bound(cycle(13))

@@ -2,8 +2,8 @@ import math
 
 import pytest
 
-from toughlab import check_regular_spectrum, second_largest_abs, spectrum
-from toughlab.errors import NotRegularGraph, TooFewVertices
+from toughlab import check_regular_spectrum, spectrum
+from toughlab.errors import NotRegularGraph
 from toughlab.families import complete, complete_bipartite, cycle, petersen
 from toughlab.graph import from_edge_list
 
@@ -34,14 +34,9 @@ def test_petersen_spectrum():
 
 
 def test_second_largest_abs():
-    assert second_largest_abs(complete_bipartite(3, 3)) == pytest.approx(3, abs=1e-9)
-    assert second_largest_abs(complete(5)) == pytest.approx(1, abs=1e-9)
-    assert second_largest_abs(complete(2)) == pytest.approx(1, abs=1e-9)
-
-
-def test_second_largest_abs_needs_two_vertices():
-    with pytest.raises(TooFewVertices):
-        second_largest_abs(from_edge_list(1, []))
+    assert spectrum(complete_bipartite(3, 3)).lam == pytest.approx(3, abs=1e-9)
+    assert spectrum(complete(5)).lam == pytest.approx(1, abs=1e-9)
+    assert spectrum(complete(2)).lam == pytest.approx(1, abs=1e-9)
 
 
 def test_single_vertex_spectrum():
@@ -61,11 +56,6 @@ def test_check_regular_spectrum_rejects_irregular():
     path3 = from_edge_list(3, [(0, 1), (1, 2)])
     with pytest.raises(NotRegularGraph):
         check_regular_spectrum(path3, spectrum(path3))
-
-
-def test_invalid_tol():
-    with pytest.raises(ValueError):
-        spectrum(cycle(4), tol=0.0)
 
 
 @pytest.mark.parametrize("g", [cycle(7), complete(6), petersen(),

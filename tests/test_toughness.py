@@ -131,7 +131,11 @@ def test_pruned_matches_naive_oracle(g):
     assert toughness_of_cut(g, naive.witness) == pruned.t
 
 
-@pytest.mark.parametrize("g", [cycle(6), petersen(), hypercube(3)])
+@pytest.mark.parametrize(
+    "g",
+    [cycle(6), petersen(), hypercube(3), random_regular(10, 3, 7),
+     build(parse_family_spec("circulant 12 1 5"))],
+)
 def test_monotone_consistency(g):
     t = exact_toughness(g).t
     for k in [Fraction(1, 3), Fraction(1), Fraction(4, 3), Fraction(3, 2),
