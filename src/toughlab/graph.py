@@ -123,9 +123,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
 
-    def neighbors(self, v: int) -> VertexSet:
-        return VertexSet(self.n, self.adj[v])
-
     def edges(self) -> list[tuple[int, int]]:
         return [
             (u, v)

@@ -26,9 +26,9 @@ from .errors import GraphTooLarge
 from .graph import (
     Graph,
     VertexSet,
+    _component_masks,
     _disconnecting_cuts,
     _require_regular,
-    components,
     e_between,
     e_within,
 )
@@ -86,13 +86,16 @@ def mixing_check_single(g: Graph, a: VertexSet,
     """Single-set mixing inequality on e(A) (edges inside A)."""
     d = _require_regular(g)
     lam = _lam_of(g, lam)
-    n = g.n
     e_a = e_within(g, a)
-    ka = len(a)
+    return MixingCheck(a, a, e_a, *_single_terms(g.n, d, lam, len(a), e_a))
+
+
+def _single_terms(n: int, d: int, lam: float, ka: int,
+                  e_a: int) -> tuple[float, float, float]:
+    """``(expected, bound, slack)`` of the single-set inequality for |A| = ka."""
     expected = d * ka * ka / (2.0 * n)
     bound = (lam / 2.0) * ka * (1.0 - ka / n)
-    slack = bound - abs(e_a - expected)
-    return MixingCheck(a, a, e_a, expected, bound, slack)
+    return expected, bound, bound - abs(e_a - expected)
 
 
 def _slack_matrix(g: Graph, d: int, lam: float) -> np.ndarray:
@@ -129,31 +132,47 @@ def exhaustive_mixing_verify(g: Graph, lam: float | None = None) -> MixingCheck:
     return mixing_check(g, VertexSet(g.n, a_mask), VertexSet(g.n, b_mask), lam)
 
 
+def _random_masks(rng: random.Random, n: int, count: int) -> np.ndarray:
+    """``count`` successive ``rng.getrandbits(n)`` draws, 1 <= n <= 64, as uint64.
+
+    CPython builds ``getrandbits(k)`` from 32-bit outputs, least significant
+    word first, and shifts the last word right by 32*ceil(k/32) - k.  So one
+    draw of 32*w*count bits, w = ceil(n/32), holds the words of every draw in
+    order, and the stream is the same as drawing them one at a time.
+    """
+    w = -(-n // 32)
+    raw = rng.getrandbits(32 * w * count).to_bytes(4 * w * count, "little")
+    words = np.frombuffer(raw, dtype="<u4").reshape(count, w).astype(np.uint64)
+    words[:, -1] >>= np.uint64(32 * w - n)
+    masks = words[:, 0]
+    for i in range(1, w):
+        masks = masks | words[:, i] << np.uint64(32 * i)
+    return masks
+
+
 def sampled_mixing_verify(g: Graph, samples: int, seed: int,
                           lam: float | None = None) -> MixingCheck:
     """Check ``samples`` uniformly random (A, B) pairs, deterministic in seed.
 
-    Each set includes every vertex independently with probability 1/2; the
-    mask stream comes from ``random.Random(seed)`` so runs are reproducible.
+    Each set includes every vertex independently with probability 1/2: the
+    i-th pair is A = ``getrandbits(n)`` draw 2i and B = draw 2i+1 of
+    ``random.Random(seed)``, so runs are reproducible.
     """
     d = _require_regular(g)
     if samples < 1:
         raise ValueError("samples must be at least 1")
     lam = _lam_of(g, lam)
     n = g.n
-    rng = random.Random(seed)
-    a_masks = np.empty(samples, dtype=np.int64)
-    b_masks = np.empty(samples, dtype=np.int64)
-    for i in range(samples):
-        a_masks[i] = rng.getrandbits(n)
-        b_masks[i] = rng.getrandbits(n)
-    shifts = np.arange(n)
-    xa = ((a_masks[:, None] >> shifts) & 1).astype(np.float64)
-    xb = ((b_masks[:, None] >> shifts) & 1).astype(np.float64)
-    adj = adjacency_matrix(g)
-    e = ((xa @ adj) * xb).sum(axis=1)
-    sa = xa.sum(axis=1)
-    sb = xb.sum(axis=1)
+    draws = _random_masks(random.Random(seed), n, 2 * samples)
+    # Draws alternate A, B; the transposed copy makes each side contiguous.
+    a_masks, b_masks = draws.reshape(samples, 2).T.copy()
+    # e(A,B) = sum over v in B of |N(v) & A|, in exact integers.
+    e = np.zeros(samples, dtype=np.uint64)
+    for v, row in enumerate(np.array(g.adj, dtype=np.uint64)):
+        e += np.bitwise_count(a_masks & row) * ((b_masks >> np.uint64(v)) & np.uint64(1))
+    e = e.astype(np.float64)
+    sa = np.bitwise_count(a_masks).astype(np.float64)
+    sb = np.bitwise_count(b_masks).astype(np.float64)
     expected = sa * sb * (d / n)
     bound = lam * np.sqrt(sa * sb * (1.0 - sa / n) * (1.0 - sb / n))
     slack = bound - np.abs(e - expected)
@@ -194,14 +213,24 @@ def verify_component_bound(g: Graph, lam: float | None = None) -> bool:
     d = _require_regular(g)
     cuts = _capped_cuts(g)
     lam = _lam_of(g, lam)
-    ceiling = lam * g.n / (d + lam)
+    n = g.n
+    ceiling = lam * n / (d + lam)
+    # The single-set slack of an independent U depends only on |U| = c.
+    slack_holds = {c: _single_terms(n, d, lam, c, 0)[2] >= -LAMBDA_EPS
+                   for c in range(2, n + 1)}
+    full = (1 << n) - 1
     for mask, c in cuts:
         if c > ceiling + LAMBDA_EPS:
             return False
-        comps = components(g, VertexSet(g.n, mask))
-        u = VertexSet.of(g.n, (min(comp) for comp in comps))
-        if e_within(g, u) != 0:
-            return False
-        if mixing_check_single(g, u, lam).slack < -LAMBDA_EPS:
+        u = 0
+        for comp in _component_masks(g, full & ~mask):
+            u |= comp & -comp
+        rest = u
+        while rest:
+            low = rest & -rest
+            if g.adj[low.bit_length() - 1] & u:
+                return False
+            rest ^= low
+        if not slack_holds[c]:
             return False
     return True

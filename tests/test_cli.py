@@ -97,6 +97,17 @@ class TestAnalyze:
         assert report["mixing"] == json.loads(out)["mixing"]
         assert report["mixing"]["samples"] == 500
 
+    def test_sampled_mixing_hypercube6(self, capsys, tmp_path):
+        path = tmp_path / "q6.g6"
+        from toughlab.families import hypercube
+        path.write_text(emit_graph6(hypercube(6)) + "\n")
+        code, out, _ = run(capsys, "analyze", str(path), "--bounds", "--mixing",
+                           "sampled", "--component-bound", "--samples", "2000")
+        assert code == 0
+        report = json.loads(out)
+        assert report["mixing"]["worst"]["slack"] >= -1e-9
+        assert report["component_bound"]["verified"] is None  # n = 64 > cap
+
     def test_disconnected_bounds_exit_2(self, capsys, tmp_path):
         path = tmp_path / "disc.txt"
         path.write_text("4 2\n0 1\n2 3\n")

@@ -1,3 +1,6 @@
+import math
+import random
+
 import pytest
 
 from toughlab import (
@@ -8,6 +11,7 @@ from toughlab import (
     mixing_check,
     mixing_check_single,
     sampled_mixing_verify,
+    spectrum,
     verify_component_bound,
 )
 from toughlab.errors import GraphTooLarge, NotRegularGraph
@@ -16,9 +20,12 @@ from toughlab.families import (
     complete_bipartite,
     cycle,
     hypercube,
+    kneser,
     petersen,
+    random_regular,
 )
 from toughlab.graph import from_edge_list
+from toughlab.mixing import _random_masks
 
 from conftest import independent_sets_of_size
 
@@ -115,6 +122,41 @@ def test_sampled_verify_and_determinism():
     assert (c.a, c.b) != (d.a, d.b)
 
 
+@pytest.mark.parametrize("seed", [0, 42])
+@pytest.mark.parametrize("n", [2, 31, 32, 33, 35, 63, 64])
+def test_random_masks_match_getrandbits_stream(n, seed):
+    rng = random.Random(seed)
+    expected = [rng.getrandbits(n) for _ in range(257)]
+    assert _random_masks(random.Random(seed), n, 257).tolist() == expected
+
+
+def _sampled_reference(g, samples, seed, lam):
+    """The sampled scan as a plain loop: first pair of least ``mixing_check`` slack."""
+    rng = random.Random(seed)
+    worst = None
+    for _ in range(samples):
+        a = VertexSet(g.n, rng.getrandbits(g.n))
+        b = VertexSet(g.n, rng.getrandbits(g.n))
+        check = mixing_check(g, a, b, lam)
+        if worst is None or check.slack < worst.slack:
+            worst = check
+    return worst
+
+
+@pytest.mark.parametrize("g", [cycle(12), random_regular(16, 3, 1), kneser(7, 3)],
+                         ids=["cycle12", "rr16_3_1", "kneser7_3"])
+def test_sampled_verify_matches_loop(g):
+    lam = spectrum(g).lam
+    assert sampled_mixing_verify(g, 300, 7, lam) == _sampled_reference(g, 300, 7, lam)
+
+
+def test_sampled_verify_hypercube6():
+    # n = 64: the masks fill every bit of a 64-bit word.
+    worst = sampled_mixing_verify(hypercube(6), 2000, 42)
+    assert math.isfinite(worst.slack)
+    assert worst.slack >= -1e-9
+
+
 def test_component_count_bound_values():
     assert component_count_bound(petersen()) == pytest.approx(4, abs=1e-8)
     assert component_count_bound(complete(5)) == pytest.approx(1, abs=1e-8)
@@ -125,6 +167,15 @@ def test_verify_component_bound():
     assert verify_component_bound(petersen())
     assert verify_component_bound(cycle(6))
     assert verify_component_bound(complete(4))  # vacuous: no disconnecting cut
+
+
+def test_component_bound_can_fail():
+    # Both graphs attain the ceiling lam*n/(d+lam) at lam = 2, so a smaller
+    # lam must be refused.
+    assert verify_component_bound(petersen(), lam=2.0)
+    assert not verify_component_bound(petersen(), lam=1.99)
+    assert verify_component_bound(cycle(6), lam=2.0)
+    assert not verify_component_bound(cycle(6), lam=1.9)
 
 
 def test_component_bound_attained():
