@@ -360,6 +360,8 @@ def parse_graph6(text: str) -> Graph:
     for ch in body:
         val = ord(ch) - 63
         bits.extend(val >> s & 1 for s in (5, 4, 3, 2, 1, 0))
+    if any(bits[nbits:]):
+        raise MalformedGraph6(f"nonzero padding bits in graph6 line {line!r}")
     edges = []
     k = 0
     for j in range(1, n):
@@ -381,6 +383,7 @@ def emit_edge_list(g: Graph) -> str:
 
 
 def parse_edge_list(text: str) -> Graph:
+    """Decode the edge-list format; a repeated edge is an error here."""
     lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
     if not lines:
         raise MalformedEdgeList("empty edge-list input")
@@ -402,4 +405,11 @@ def parse_edge_list(text: str) -> Graph:
             edges.append((int(parts[0]), int(parts[1])))
         except ValueError as exc:
             raise MalformedEdgeList(f"non-integer edge line {ln!r}") from exc
-    return from_edge_list(n, edges)
+    g = from_edge_list(n, edges)
+    if g.m != m:
+        seen = set()
+        for u, v in edges:
+            if (u, v) in seen:
+                raise MalformedEdgeList(f"repeated edge {u} {v}")
+            seen.update([(u, v), (v, u)])
+    return g

@@ -5,6 +5,14 @@ and the bounds need the most negative eigenvalue as well as the second
 largest, which extremal iteration schemes complicate.  The sweep order is
 fixed (row-major over the upper triangle) so results are bit-stable across
 runs on one platform.
+
+The solver keeps A and the transposed eigenvector matrix V side by side in one
+n x 2n array, so a rotation is one pass over two rows of length 2n; A's rows
+are then copied into its columns.  This equals rotating A's columns, then its
+rows, then V's columns, bit for bit: A stays exactly symmetric, so off the
+2x2 pivot block the row rotation computes the same products and the same
+difference as the column rotation, and the block itself is computed in the
+two-stage order.
 """
 
 from __future__ import annotations
@@ -52,39 +60,47 @@ def adjacency_matrix(g: Graph) -> np.ndarray:
 
 def _jacobi_eigh(a0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Cyclic Jacobi sweeps until the off-diagonal norm drops below DEFAULT_TOL."""
-    a = a0.copy()
-    n = a.shape[0]
-    v = np.eye(n)
+    n = a0.shape[0]
+    m = np.hstack([a0, np.eye(n)])  # row i: A's row i, then V's column i
+    a = m[:, :n]
     off_mask = ~np.eye(n, dtype=bool)
     for _ in range(DEFAULT_MAX_SWEEPS):
         off = math.sqrt(float((a[off_mask] ** 2).sum()))
         if off < DEFAULT_TOL:
-            diag = np.diagonal(a).copy()
-            return diag, v
+            return np.diagonal(a).copy(), m[:, n:].T.copy()
         for p in range(n - 1):
+            rp = m[p]
             for q in range(p + 1, n):
-                apq = a[p, q]
+                apq = rp.item(q)
                 if apq == 0.0:
                     continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
+                rq = m[q]
+                app = rp.item(p)
+                aqq = rq.item(q)
+                theta = (aqq - app) / (2.0 * apq)
                 sign = 1.0 if theta >= 0.0 else -1.0
                 # hypot keeps this finite even for near-zero pivots
                 t = sign / (abs(theta) + math.hypot(theta, 1.0))
                 c = 1.0 / math.sqrt(t * t + 1.0)
                 s = t * c
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                a[p, q] = a[q, p] = 0.0
-                vec_p = v[:, p].copy()
-                vec_q = v[:, q].copy()
-                v[:, p] = c * vec_p - s * vec_q
-                v[:, q] = s * vec_p + c * vec_q
+                # The 2x2 block as a column rotation followed by a row
+                # rotation leaves it; off the block, A's new rows already
+                # equal its new columns.
+                pp = c * app - s * apq
+                qp = c * apq - s * aqq
+                pq = s * app + c * apq
+                qq = s * apq + c * aqq
+                cp = c * rp
+                sq = s * rq
+                sp = s * rp
+                cq = c * rq
+                np.subtract(cp, sq, out=rp)
+                np.add(sp, cq, out=rq)
+                rp[p] = c * pp - s * qp
+                rq[q] = s * pq + c * qq
+                rp[q] = rq[p] = 0.0
+                a[:, p] = rp[:n]
+                a[:, q] = rq[:n]
     raise NoConvergence(
         f"Jacobi sweeps did not reach off-diagonal norm {DEFAULT_TOL} "
         f"in {DEFAULT_MAX_SWEEPS} sweeps"

@@ -1,7 +1,16 @@
+import os
+from pathlib import Path
+
 import pytest
 
 from toughlab import families, spectrum
 from toughlab.toughness import _subsets_of_size
+
+# Tests that start `python -m toughlab.cli` need the package that pytest's
+# `pythonpath` setting gives this process, also without an install.
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [SRC, os.environ.get("PYTHONPATH")]))
 
 
 def independent_sets_of_size(g, k):

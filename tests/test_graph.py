@@ -9,11 +9,13 @@ from toughlab import (
     emit_graph6,
     from_edge_list,
     is_connected,
+    parse_edge_list,
     parse_graph6,
     regularity,
 )
 from toughlab.errors import (
     EndpointOutOfRange,
+    MalformedEdgeList,
     MalformedGraph6,
     SelfLoop,
     TooManyVertices,
@@ -106,6 +108,22 @@ class TestGraph6:
     @given(graphs())
     def test_round_trip_random(self, g):
         assert parse_graph6(emit_graph6(g)) == g
+
+    def test_nonzero_padding_rejected(self):
+        # K3 needs 3 of the 6 body bits; 'w' pads with 000, '~' with 111
+        assert parse_graph6("Bw") == complete(3)
+        with pytest.raises(MalformedGraph6, match="padding"):
+            parse_graph6("B~")
+
+    def test_corpus_round_trip(self, corpus):
+        for _, g in corpus:
+            assert parse_graph6(emit_graph6(g)) == g
+
+
+class TestEdgeList:
+    def test_repeated_edge_rejected(self):
+        with pytest.raises(MalformedEdgeList, match="repeated edge 1 0"):
+            parse_edge_list("3 2\n0 1\n1 0\n")
 
 
 class TestComponents:

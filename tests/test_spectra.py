@@ -1,10 +1,21 @@
 import math
 
+import numpy as np
 import pytest
 
 from toughlab import check_regular_spectrum, spectrum
-from toughlab.errors import NotRegularGraph
-from toughlab.families import complete, complete_bipartite, cycle, petersen
+from toughlab import spectra
+from toughlab.errors import NoConvergence, NotRegularGraph
+from toughlab.families import (
+    circulant,
+    complete,
+    complete_bipartite,
+    cycle,
+    hypercube,
+    kneser,
+    petersen,
+    random_regular,
+)
 from toughlab.graph import from_edge_list
 
 
@@ -78,3 +89,74 @@ def test_bipartite_regular_lambda_equals_degree():
 def test_determinism():
     p = petersen()
     assert spectrum(p) == spectrum(p)
+
+
+def reference_jacobi_eigh(a0):
+    """Per-column cyclic Jacobi: rotate A's columns, then its rows, then V's
+    columns.  The fused row rotation in ``spectra`` must match it bit for bit."""
+    a = a0.copy()
+    n = a.shape[0]
+    v = np.eye(n)
+    off_mask = ~np.eye(n, dtype=bool)
+    for _ in range(spectra.DEFAULT_MAX_SWEEPS):
+        off = math.sqrt(float((a[off_mask] ** 2).sum()))
+        if off < spectra.DEFAULT_TOL:
+            return np.diagonal(a).copy(), v
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[p, q]
+                if apq == 0.0:
+                    continue
+                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
+                sign = 1.0 if theta >= 0.0 else -1.0
+                t = sign / (abs(theta) + math.hypot(theta, 1.0))
+                c = 1.0 / math.sqrt(t * t + 1.0)
+                s = t * c
+                col_p = a[:, p].copy()
+                col_q = a[:, q].copy()
+                a[:, p] = c * col_p - s * col_q
+                a[:, q] = s * col_p + c * col_q
+                row_p = a[p, :].copy()
+                row_q = a[q, :].copy()
+                a[p, :] = c * row_p - s * row_q
+                a[q, :] = s * row_p + c * row_q
+                a[p, q] = a[q, p] = 0.0
+                vec_p = v[:, p].copy()
+                vec_q = v[:, q].copy()
+                v[:, p] = c * vec_p - s * vec_q
+                v[:, q] = s * vec_p + c * vec_q
+    raise AssertionError("reference Jacobi did not converge")
+
+
+def assert_jacobi_bit_identical(g):
+    a0 = spectra.adjacency_matrix(g)
+    diag, vecs = spectra._jacobi_eigh(a0)
+    ref_diag, ref_vecs = reference_jacobi_eigh(a0)
+    assert diag.tobytes() == ref_diag.tobytes()
+    assert vecs.tobytes() == ref_vecs.tobytes()
+
+
+def test_jacobi_matches_reference_on_corpus(corpus):
+    for _, g in corpus:
+        assert_jacobi_bit_identical(g)
+
+
+@pytest.mark.parametrize("g", [
+    kneser(7, 3),
+    hypercube(5),
+    random_regular(20, 3, 1),
+    circulant(40, [1, 5, 9]),
+    from_edge_list(5, [(i, i + 1) for i in range(4)]),
+    from_edge_list(1, []),
+    from_edge_list(2, [(0, 1)]),
+], ids=["kneser7_3", "hypercube5", "rr20_3_1", "circulant40_1_5_9",
+        "path5", "n1", "n2"])
+def test_jacobi_matches_reference(g):
+    assert_jacobi_bit_identical(g)
+
+
+def test_no_convergence(monkeypatch):
+    monkeypatch.setattr(spectra, "DEFAULT_MAX_SWEEPS", 1)
+    with pytest.raises(NoConvergence,
+                       match=r"did not reach off-diagonal norm 1e-12 in 1 sweeps"):
+        spectrum(petersen())
