@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from importlib import resources
 from itertools import combinations
 
 from .errors import InvalidParams, RetriesExhausted
-from .graph import Graph, from_edge_list, is_connected
+from .graph import MAX_VERTICES, Graph, _require_vertex_count, from_edge_list, is_connected
 
 RANDOM_REGULAR_MAX_ATTEMPTS = 1000
 
@@ -16,12 +17,14 @@ RANDOM_REGULAR_MAX_ATTEMPTS = 1000
 def cycle(n: int) -> Graph:
     if n < 3:
         raise InvalidParams(f"cycle needs n >= 3, got {n}")
+    _require_vertex_count(n)
     return from_edge_list(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def complete(n: int) -> Graph:
     if n < 1:
         raise InvalidParams(f"complete needs n >= 1, got {n}")
+    _require_vertex_count(n)
     return from_edge_list(n, list(combinations(range(n), 2)))
 
 
@@ -32,6 +35,7 @@ def complete_bipartite(a: int, b: int) -> Graph:
         raise InvalidParams(f"only balanced K_a,a supported, got ({a},{b})")
     if a < 1:
         raise InvalidParams(f"complete_bipartite needs a >= 1, got {a}")
+    _require_vertex_count(2 * a)
     return from_edge_list(2 * a, [(i, a + j) for i in range(a) for j in range(a)])
 
 
@@ -51,6 +55,8 @@ def kneser(n: int, k: int) -> Graph:
     """
     if k < 1 or n < 2 * k + 1:
         raise InvalidParams(f"kneser needs k >= 1 and n >= 2k+1, got ({n},{k})")
+    # C(n, k) >= n, so a large n is refused without the costly binomial.
+    _require_vertex_count(n if n > MAX_VERTICES else math.comb(n, k))
     subsets = sorted(
         (sum(1 << e for e in combo) for combo in combinations(range(n), k))
     )
@@ -70,6 +76,7 @@ def petersen() -> Graph:
 def circulant(n: int, connections: list[int]) -> Graph:
     if n < 3:
         raise InvalidParams(f"circulant needs n >= 3, got {n}")
+    _require_vertex_count(n)
     offsets = sorted(set(connections))
     if not offsets:
         raise InvalidParams("circulant needs at least one offset")
@@ -89,6 +96,7 @@ def random_regular(n: int, d: int, seed: int) -> Graph:
         raise InvalidParams(f"need 0 <= d < n, got d={d}, n={n}")
     if n * d % 2:
         raise InvalidParams(f"n*d must be even, got n={n}, d={d}")
+    _require_vertex_count(n)
     rng = random.Random(seed)
     for _ in range(RANDOM_REGULAR_MAX_ATTEMPTS):
         stubs = [v for v in range(n) for _ in range(d)]

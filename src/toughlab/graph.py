@@ -154,10 +154,15 @@ class NotRegular:
     degree: int
 
 
-def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
-    """Build a graph from vertex pairs.  Duplicate edges collapse silently."""
+def _require_vertex_count(n: int) -> None:
+    """Refuse a vertex count outside 0..``MAX_VERTICES`` before anything is built."""
     if n < 0 or n > MAX_VERTICES:
         raise TooManyVertices(f"n={n} outside 0..{MAX_VERTICES}")
+
+
+def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
+    """Build a graph from vertex pairs.  Duplicate edges collapse silently."""
+    _require_vertex_count(n)
     adj = [0] * n
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):

@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -26,7 +25,6 @@ from .errors import GraphTooLarge
 from .graph import (
     Graph,
     VertexSet,
-    _component_masks,
     _disconnecting_cuts,
     _require_regular,
     e_between,
@@ -86,16 +84,11 @@ def mixing_check_single(g: Graph, a: VertexSet,
     """Single-set mixing inequality on e(A) (edges inside A)."""
     d = _require_regular(g)
     lam = _lam_of(g, lam)
+    n, ka = g.n, len(a)
     e_a = e_within(g, a)
-    return MixingCheck(a, a, e_a, *_single_terms(g.n, d, lam, len(a), e_a))
-
-
-def _single_terms(n: int, d: int, lam: float, ka: int,
-                  e_a: int) -> tuple[float, float, float]:
-    """``(expected, bound, slack)`` of the single-set inequality for |A| = ka."""
     expected = d * ka * ka / (2.0 * n)
     bound = (lam / 2.0) * ka * (1.0 - ka / n)
-    return expected, bound, bound - abs(e_a - expected)
+    return MixingCheck(a, a, e_a, expected, bound, bound - abs(e_a - expected))
 
 
 def _slack_matrix(g: Graph, d: int, lam: float) -> np.ndarray:
@@ -189,48 +182,20 @@ def component_count_bound(g: Graph, lam: float | None = None) -> float:
     return lam * g.n / (d + lam)
 
 
-def _capped_cuts(g: Graph) -> Iterator[tuple[int, int]]:
-    # Checked at the call, not at the first cut: before any spectrum is computed.
+def max_components_over_cuts(g: Graph) -> int:
+    """Largest c(G-S) over all proper S that disconnect the graph; 0 if none."""
     if g.n > COMPONENT_BOUND_MAX_N:
         raise GraphTooLarge(
             f"cut enumeration on n={g.n} exceeds the cap {COMPONENT_BOUND_MAX_N}"
         )
-    return _disconnecting_cuts(g)
-
-
-def max_components_over_cuts(g: Graph) -> int:
-    """Largest c(G-S) over all proper S that disconnect the graph; 0 if none."""
-    return max((c for _, c in _capped_cuts(g)), default=0)
+    return max((c for _, c in _disconnecting_cuts(g)), default=0)
 
 
 def verify_component_bound(g: Graph, lam: float | None = None) -> bool:
-    """Exhaustively confirm the component ceiling on every disconnecting cut.
+    """Exhaustively confirm c(G-S) <= lam*n/(d+lam) on every disconnecting cut S.
 
-    Also replays the derivation on each cut: picking one vertex per component
-    gives an independent set U with e(U) = 0, and the single-set mixing
-    inequality on U forces the ceiling.
+    The cut scan, and so its size cap, runs before lam is computed.
     """
-    d = _require_regular(g)
-    cuts = _capped_cuts(g)
-    lam = _lam_of(g, lam)
-    n = g.n
-    ceiling = lam * n / (d + lam)
-    # The single-set slack of an independent U depends only on |U| = c.
-    slack_holds = {c: _single_terms(n, d, lam, c, 0)[2] >= -LAMBDA_EPS
-                   for c in range(2, n + 1)}
-    full = (1 << n) - 1
-    for mask, c in cuts:
-        if c > ceiling + LAMBDA_EPS:
-            return False
-        u = 0
-        for comp in _component_masks(g, full & ~mask):
-            u |= comp & -comp
-        rest = u
-        while rest:
-            low = rest & -rest
-            if g.adj[low.bit_length() - 1] & u:
-                return False
-            rest ^= low
-        if not slack_holds[c]:
-            return False
-    return True
+    _require_regular(g)
+    worst = max_components_over_cuts(g)
+    return worst <= component_count_bound(g, lam) + LAMBDA_EPS

@@ -110,13 +110,12 @@ def _trim_sizes(sizes: list[int], budget: int) -> list[int]:
     return trimmed
 
 
-def claim2_partition(comps: Sequence[VertexSet],
-                     graph: Graph | None = None) -> PartitionWitness:
+def claim2_partition(comps: Sequence[VertexSet], graph: Graph) -> PartitionWitness:
     """Split components into blocks X, Y with e(X,Y)=0 and |X|,|Y| >= c.
 
-    ``comps`` must be the components of some vertex-deleted graph, ascending
-    by size, with at least 2c+1 vertices in total.  When a ``graph`` is
-    supplied the cross-edge count is measured against it rather than trusted.
+    ``comps`` must be the components of some vertex-deleted subgraph of
+    ``graph``, ascending by size, with at least 2c+1 vertices in total.  The
+    cross-edge count is measured against ``graph`` rather than trusted.
     """
     sizes = _validate_components(comps)
     c = len(comps)
@@ -156,5 +155,4 @@ def claim2_partition(comps: Sequence[VertexSet],
         raise PreconditionViolated(
             f"construction produced blocks of sizes {size_x}, {size_y} < c={c}"
         )
-    cross = e_between(graph, x, y) if graph is not None else 0
-    return PartitionWitness(x, y, size_x, size_y, cross)
+    return PartitionWitness(x, y, size_x, size_y, e_between(graph, x, y))

@@ -1,7 +1,8 @@
 """Exact graph toughness t(G) = min |S| / c(G-S) over disconnecting sets S.
 
 Two independent code paths: a pruned size-class search (the production route)
-and a naive all-subsets oracle used only for cross-validation in tests.
+and a naive all-subsets oracle that cross-validates it in the tests and
+computes the benchmark's golden frontier values (``bench/make_golden.py``).
 Ratios are exact ``fractions.Fraction`` values; floats would make ties
 ambiguous.
 """

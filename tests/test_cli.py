@@ -36,6 +36,16 @@ class TestGen:
         assert code == 2
         assert "cycle" in err
 
+    @pytest.mark.parametrize("params, message", [
+        ("kneser 22 10", "n=646646 outside 0..64"),
+        ("random_regular 2000000 3 1", "n=2000000 outside 0..64"),
+        ("random_regular 4 1 0", "no valid (4,1)-regular graph in 1000 attempts"),
+    ])
+    def test_family_error_exit_2(self, capsys, params, message):
+        code, out, err = run(capsys, "gen", *params.split())
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
+
     def test_complete4_edgelist(self, capsys):
         code, out, _ = run(capsys, "gen", "complete", "4", "--format", "edgelist")
         assert code == 0

@@ -1,7 +1,7 @@
 import pytest
 
 from toughlab import is_connected, regularity, spectrum
-from toughlab.errors import InvalidParams
+from toughlab.errors import InvalidParams, RetriesExhausted, TooManyVertices
 from toughlab.families import (
     FamilySpec,
     build,
@@ -80,6 +80,26 @@ def test_random_regular():
         random_regular(5, 3, seed=1)
     assert random_regular(8, 3, seed=1) == g  # deterministic
     assert random_regular(8, 3, seed=2) != g  # seed actually matters
+    with pytest.raises(RetriesExhausted):
+        random_regular(4, 1, seed=0)  # every perfect matching on 4 vertices is disconnected
+
+
+@pytest.mark.parametrize("make", [
+    lambda: cycle(65),
+    lambda: complete(2000),
+    lambda: complete_bipartite(33, 33),
+    lambda: kneser(13, 4),
+    lambda: circulant(65, [1]),
+    lambda: random_regular(66, 3, seed=1),
+], ids=["cycle", "complete", "complete_bipartite", "kneser", "circulant",
+        "random_regular"])
+def test_vertex_cap_checked_before_building(make, monkeypatch):
+    def no_build(n, edges):
+        raise AssertionError("edges built before the vertex cap was checked")
+
+    monkeypatch.setattr("toughlab.families.from_edge_list", no_build)
+    with pytest.raises(TooManyVertices, match=r"^n=\d+ outside 0\.\.64$"):
+        make()
 
 
 def test_family_spec_parsing_and_build():

@@ -16,16 +16,18 @@ from toughlab import (
 )
 from toughlab.errors import GraphTooLarge, NotRegularGraph
 from toughlab.families import (
+    build,
     complete,
     complete_bipartite,
     cycle,
+    default_corpus,
     hypercube,
     kneser,
     petersen,
     random_regular,
 )
 from toughlab.graph import from_edge_list
-from toughlab.mixing import _random_masks
+from toughlab.mixing import COMPONENT_BOUND_MAX_N, _random_masks
 
 from conftest import independent_sets_of_size
 
@@ -169,13 +171,22 @@ def test_verify_component_bound():
     assert verify_component_bound(complete(4))  # vacuous: no disconnecting cut
 
 
-def test_component_bound_can_fail():
-    # Both graphs attain the ceiling lam*n/(d+lam) at lam = 2, so a smaller
-    # lam must be refused.
-    assert verify_component_bound(petersen(), lam=2.0)
-    assert not verify_component_bound(petersen(), lam=1.99)
-    assert verify_component_bound(cycle(6), lam=2.0)
-    assert not verify_component_bound(cycle(6), lam=1.9)
+# Corpus graphs in reach of the cut scan that some cut disconnects (not K_n).
+SMALL_CUT_GRAPHS = {
+    spec.label().replace(" ", "_"): g
+    for spec, g in ((spec, build(spec)) for spec in default_corpus())
+    if g.n <= COMPONENT_BOUND_MAX_N and g.m < g.n * (g.n - 1) // 2
+}
+
+
+@pytest.mark.parametrize("g", SMALL_CUT_GRAPHS.values(), ids=SMALL_CUT_GRAPHS.keys())
+def test_component_bound_can_fail(g):
+    # At lam* = d*c/(n-c) the ceiling lam*n/(d+lam) equals the largest
+    # component count c, so any smaller lam must be refused.
+    c = max_components_over_cuts(g)
+    lam_star = g.degree(0) * c / (g.n - c)
+    assert verify_component_bound(g, lam=lam_star)
+    assert not verify_component_bound(g, lam=lam_star * (1 - 1e-6))
 
 
 def test_component_bound_attained():

@@ -143,19 +143,19 @@ class TestClaim2Partition:
         assert witness.cross_edges == 0
 
     def test_too_few_vertices(self):
-        _, comps = clique_components([1, 1, 1])
+        g, comps = clique_components([1, 1, 1])
         with pytest.raises(PreconditionViolated):
-            claim2_partition(comps)
+            claim2_partition(comps, graph=g)
 
     def test_claim1_failure_refused(self):
-        _, comps = clique_components([1, 1, 9])
+        g, comps = clique_components([1, 1, 9])
         with pytest.raises(PreconditionViolated):
-            claim2_partition(comps)
+            claim2_partition(comps, graph=g)
 
     def test_single_component_refused(self):
-        _, comps = clique_components([5])
+        g, comps = clique_components([5])
         with pytest.raises(PreconditionViolated):
-            claim2_partition(comps)
+            claim2_partition(comps, graph=g)
 
     @pytest.mark.parametrize("c", range(2, 7))
     def test_exhaustive_small_vectors(self, c):

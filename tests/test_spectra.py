@@ -5,7 +5,7 @@ import pytest
 
 from toughlab import check_regular_spectrum, spectrum
 from toughlab import spectra
-from toughlab.errors import NoConvergence, NotRegularGraph
+from toughlab.errors import NoConvergence, NotRegularGraph, TooFewVertices
 from toughlab.families import (
     circulant,
     complete,
@@ -54,6 +54,11 @@ def test_single_vertex_spectrum():
     prof = spectrum(from_edge_list(1, []))
     assert prof.eigenvalues == (0.0,)
     assert prof.lam is None
+
+
+def test_empty_graph_spectrum():
+    with pytest.raises(TooFewVertices):
+        spectrum(from_edge_list(0, []))
 
 
 def test_check_regular_spectrum():
