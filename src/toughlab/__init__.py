@@ -41,7 +41,7 @@ from .partition import (
     claim2_partition,
     index_subset,
 )
-from .spectra import SpectralProfile, check_regular_spectrum, spectrum
+from .spectra import SpectralProfile, spectrum
 from .toughness import (
     ToughnessResult,
     exact_toughness,
@@ -63,7 +63,6 @@ __all__ = [
     "alon_bound",
     "brouwer_bound",
     "check_claim1_hypothesis",
-    "check_regular_spectrum",
     "claim2_partition",
     "component_count_bound",
     "components",

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .graph import Graph, _require_connected, _require_regular
-from .spectra import LAMBDA_EPS, SpectralProfile, spectrum
-from .toughness import ToughnessResult, exact_toughness, toughness_search_cap
+from .spectra import LAMBDA_EPS
+from .toughness import ToughnessResult
 
 
 @dataclass(frozen=True)
@@ -63,9 +63,12 @@ def _rational_dict(frac: Fraction) -> dict:
     return {"num": frac.numerator, "den": frac.denominator}
 
 
-def _check_lambda(lam: float) -> None:
-    if lam <= 0.0:
-        raise ValueError(f"lambda must be positive, got {lam}")
+def _check_lambda(lam: float | None) -> float:
+    """Return ``lam``, refusing None and lam <= 0; a graph's lambda is positive
+    exactly when n >= 2 and m > 0."""
+    if lam is None or lam <= 0.0:
+        raise ValueError(f"lambda must be positive (n >= 2 and m > 0), got {lam}")
+    return lam
 
 
 def alon_bound(d: int, lam: float) -> float:
@@ -88,32 +91,17 @@ def theorem_bound(d: int, lam: float) -> float:
     return d / lam - 1.0
 
 
-def verify_theorem(
-    g: Graph,
-    profile: SpectralProfile | None = None,
-    toughness: ToughnessResult | None = None,
-    include_toughness: bool = True,
-) -> BoundReport:
+def verify_theorem(g: Graph, lam: float,
+                   toughness: ToughnessResult | None) -> BoundReport:
     """Evaluate all bounds on a connected regular graph and compare with t(G).
 
-    Pass ``toughness`` to reuse a result already computed; otherwise the
-    exact search runs here when the graph is within the size cap.  Graphs
-    over the cap get a report with ``exact_t`` None.
+    ``toughness`` is the exact result, or None when t(G) is undefined or was
+    not computed (over the size cap); then ``exact_t`` is None.
     """
     d = _require_regular(g)
     _require_connected(g, "bound verification")
-    if profile is None:
-        profile = spectrum(g)
-    lam = profile.lam
-    if lam is None or lam <= 0.0:
-        raise ValueError("second largest absolute eigenvalue unavailable or nonpositive")
-    exact_t: Fraction | None = None
-    if toughness is not None:
-        exact_t = toughness.t
-    elif include_toughness and g.n <= toughness_search_cap():
-        result = exact_toughness(g)
-        if result is not None:
-            exact_t = result.t
+    _check_lambda(lam)
+    exact_t = None if toughness is None else toughness.t
     theorem = theorem_bound(d, lam)
     slack = None
     tight_gap = None

@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from . import families
-from .bounds import _rational_dict, verify_theorem
+from .bounds import _check_lambda, _rational_dict, verify_theorem
 from .errors import MalformedGraph6, ToughlabError
 from .graph import (
     Graph,
@@ -83,11 +83,13 @@ def cmd_gen(args: argparse.Namespace) -> int:
 def _worst_mixing_pair(g: Graph, mode: str, args: argparse.Namespace,
                        lam: float) -> MixingCheck:
     if mode == "exhaustive":
-        return exhaustive_mixing_verify(g, lam=lam)
-    return sampled_mixing_verify(g, args.samples, args.seed, lam=lam)
+        return exhaustive_mixing_verify(g, lam)
+    return sampled_mixing_verify(g, args.samples, args.seed, lam)
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    if args.partition and not args.toughness:
+        raise ToughlabError("--partition requires --toughness")
     g = _read_graph(args.input)
     d = regularity(g)
     report: dict = {
@@ -105,9 +107,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         "component_bound": None,
         "partition": None,
     }
-    needs_spectrum = args.bounds or args.mixing or args.component_bound
-    profile = spectrum(g) if needs_spectrum else None
-    if profile is not None:
+    if args.bounds or args.mixing or args.component_bound:
+        profile = spectrum(g)
+        lam = _check_lambda(profile.lam)
         report["spectral"] = {
             "eigenvalues": list(profile.eigenvalues),
             "lambda1": profile.lambda1,
@@ -129,14 +131,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                 "components": tough.components,
             }
     if args.bounds:
-        bound_report = verify_theorem(
-            g, profile=profile, toughness=tough, include_toughness=False,
-        )
+        bound_report = verify_theorem(g, lam, tough)
         report["bounds"] = bound_report.to_json_dict()
         violation = violation or bound_report.violation
     if args.mixing:
-        assert profile is not None
-        worst = _worst_mixing_pair(g, args.mixing, args, profile.lam)
+        worst = _worst_mixing_pair(g, args.mixing, args, lam)
         sampled = args.mixing == "sampled"
         report["mixing"] = {"mode": args.mixing,
                             "samples": args.samples if sampled else None,
@@ -144,16 +143,13 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                             "worst": worst.to_json_dict()}
         violation = violation or worst.slack < -LAMBDA_EPS
     if args.component_bound:
-        assert profile is not None
-        value = component_count_bound(g, lam=profile.lam)
+        value = component_count_bound(g, lam)
         verified = None
         if g.n <= COMPONENT_BOUND_MAX_N:
-            verified = verify_component_bound(g, lam=profile.lam)
+            verified = verify_component_bound(g, lam)
             violation = violation or not verified
         report["component_bound"] = {"value": value, "verified": verified}
     if args.partition:
-        if not args.toughness:
-            raise ToughlabError("--partition requires --toughness")
         if tough is None:
             report["partition"] = {"precondition_failed": "toughness undefined"}
         else:
@@ -173,6 +169,7 @@ def cmd_verify_corpus(args: argparse.Namespace) -> int:
         specs = families.load_manifest(Path(args.manifest).read_text())
     else:
         specs = families.default_corpus()
+    cap = toughness_search_cap()
     header = (
         f"{'graph':<28}{'n':>4}{'d':>4}{'lambda':>10}{'theorem':>10}"
         f"{'exact_t':>10}{'slack':>10}{'mix_slack':>11}{'comp_ok':>9}"
@@ -182,13 +179,14 @@ def cmd_verify_corpus(args: argparse.Namespace) -> int:
     violations = 0
     for spec in specs:
         g = families.build(spec)
-        profile = spectrum(g)
-        report = verify_theorem(g, profile=profile)
+        lam = _check_lambda(spectrum(g).lam)
+        tough = exact_toughness(g) if g.n <= cap else None
+        report = verify_theorem(g, lam, tough)
         mode = "exhaustive" if g.n <= EXHAUSTIVE_MAX_N else "sampled"
-        worst = _worst_mixing_pair(g, mode, args, profile.lam)
+        worst = _worst_mixing_pair(g, mode, args, lam)
         comp_ok = None
         if g.n <= COMPONENT_BOUND_MAX_N:
-            comp_ok = verify_component_bound(g, lam=profile.lam)
+            comp_ok = verify_component_bound(g, lam)
         bad = (
             report.violation
             or worst.slack < -LAMBDA_EPS

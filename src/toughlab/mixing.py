@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bounds import _check_lambda
 from .errors import GraphTooLarge
 from .graph import (
     Graph,
@@ -30,7 +31,7 @@ from .graph import (
     e_between,
     e_within,
 )
-from .spectra import LAMBDA_EPS, adjacency_matrix, spectrum
+from .spectra import LAMBDA_EPS, adjacency_matrix
 
 EXHAUSTIVE_MAX_N = 10
 COMPONENT_BOUND_MAX_N = 12
@@ -56,20 +57,9 @@ class MixingCheck:
         }
 
 
-def _lam_of(g: Graph, lam: float | None) -> float:
-    if lam is not None:
-        return lam
-    value = spectrum(g).lam
-    if value is None:
-        raise ValueError("mixing checks need n >= 2")
-    return value
-
-
-def mixing_check(g: Graph, a: VertexSet, b: VertexSet,
-                 lam: float | None = None) -> MixingCheck:
+def mixing_check(g: Graph, a: VertexSet, b: VertexSet, lam: float) -> MixingCheck:
     """Two-set mixing inequality for one pair (A, B)."""
     d = _require_regular(g)
-    lam = _lam_of(g, lam)
     n = g.n
     e_ab = e_between(g, a, b)
     ka, kb = len(a), len(b)
@@ -79,11 +69,9 @@ def mixing_check(g: Graph, a: VertexSet, b: VertexSet,
     return MixingCheck(a, b, e_ab, expected, bound, slack)
 
 
-def mixing_check_single(g: Graph, a: VertexSet,
-                        lam: float | None = None) -> MixingCheck:
+def mixing_check_single(g: Graph, a: VertexSet, lam: float) -> MixingCheck:
     """Single-set mixing inequality on e(A) (edges inside A)."""
     d = _require_regular(g)
-    lam = _lam_of(g, lam)
     n, ka = g.n, len(a)
     e_a = e_within(g, a)
     expected = d * ka * ka / (2.0 * n)
@@ -106,7 +94,7 @@ def _slack_matrix(g: Graph, d: int, lam: float) -> np.ndarray:
     return bound - np.abs(e - expected)
 
 
-def exhaustive_mixing_verify(g: Graph, lam: float | None = None) -> MixingCheck:
+def exhaustive_mixing_verify(g: Graph, lam: float) -> MixingCheck:
     """Scan every (A, B) pair and return the minimum-slack check.
 
     The scan itself runs as one vectorized pass; the worst pair is then
@@ -118,7 +106,6 @@ def exhaustive_mixing_verify(g: Graph, lam: float | None = None) -> MixingCheck:
         raise GraphTooLarge(
             f"exhaustive mixing on n={g.n} exceeds the cap {EXHAUSTIVE_MAX_N}"
         )
-    lam = _lam_of(g, lam)
     slack = _slack_matrix(g, d, lam)
     flat = int(np.argmin(slack))
     a_mask, b_mask = divmod(flat, 1 << g.n)
@@ -143,8 +130,7 @@ def _random_masks(rng: random.Random, n: int, count: int) -> np.ndarray:
     return masks
 
 
-def sampled_mixing_verify(g: Graph, samples: int, seed: int,
-                          lam: float | None = None) -> MixingCheck:
+def sampled_mixing_verify(g: Graph, samples: int, seed: int, lam: float) -> MixingCheck:
     """Check ``samples`` uniformly random (A, B) pairs, deterministic in seed.
 
     Each set includes every vertex independently with probability 1/2: the
@@ -154,7 +140,6 @@ def sampled_mixing_verify(g: Graph, samples: int, seed: int,
     d = _require_regular(g)
     if samples < 1:
         raise ValueError("samples must be at least 1")
-    lam = _lam_of(g, lam)
     n = g.n
     draws = _random_masks(random.Random(seed), n, 2 * samples)
     # Draws alternate A, B; the transposed copy makes each side contiguous.
@@ -175,10 +160,10 @@ def sampled_mixing_verify(g: Graph, samples: int, seed: int,
     )
 
 
-def component_count_bound(g: Graph, lam: float | None = None) -> float:
+def component_count_bound(g: Graph, lam: float) -> float:
     """Spectral ceiling lam*n/(d+lam) on c(G-S) for any vertex cut S."""
     d = _require_regular(g)
-    lam = _lam_of(g, lam)
+    _check_lambda(lam)
     return lam * g.n / (d + lam)
 
 
@@ -191,10 +176,10 @@ def max_components_over_cuts(g: Graph) -> int:
     return max((c for _, c in _disconnecting_cuts(g)), default=0)
 
 
-def verify_component_bound(g: Graph, lam: float | None = None) -> bool:
+def verify_component_bound(g: Graph, lam: float) -> bool:
     """Exhaustively confirm c(G-S) <= lam*n/(d+lam) on every disconnecting cut S.
 
-    The cut scan, and so its size cap, runs before lam is computed.
+    The cut scan, and so its size cap, runs before lam is checked.
     """
     _require_regular(g)
     worst = max_components_over_cuts(g)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoConvergence, TooFewVertices
-from .graph import Graph, _require_regular
+from .graph import Graph
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_SWEEPS = 100
@@ -127,8 +127,3 @@ def spectrum(g: Graph) -> SpectralProfile:
         lam=lam,
         residual=residual,
     )
-
-
-def check_regular_spectrum(g: Graph, profile: SpectralProfile) -> bool:
-    """True iff lambda1 matches the common degree within 1e-9."""
-    return abs(profile.lambda1 - _require_regular(g)) <= LAMBDA_EPS

@@ -62,15 +62,6 @@ def _subsets_of_size(n: int, k: int) -> Iterator[int]:
         mask = ((ripple ^ mask) >> 2) // low | ripple
 
 
-def _check_cap(g: Graph, max_n: int | None, what: str) -> None:
-    cap = toughness_search_cap() if max_n is None else max_n
-    if g.n > cap:
-        raise GraphTooLarge(
-            f"{what} on n={g.n} exceeds the cap {cap}; "
-            f"raise it explicitly or via {MAX_N_ENV} if you mean it"
-        )
-
-
 def _class_max(g: Graph, s: int) -> tuple[int, int]:
     """Largest c(G-S) over the s-subsets S, in ascending mask order, and the
     first mask reaching it; ``(1, 0)`` when no s-subset disconnects G."""
@@ -95,7 +86,12 @@ def exact_toughness(g: Graph, max_n: int | None = None) -> ToughnessResult | Non
     class can either.  The witness is the first mask, in enumeration order,
     attaining the minimum.
     """
-    _check_cap(g, max_n, "exact toughness")
+    cap = toughness_search_cap() if max_n is None else max_n
+    if g.n > cap:
+        raise GraphTooLarge(
+            f"exact toughness on n={g.n} exceeds the cap {cap}; "
+            f"raise it explicitly or via {MAX_N_ENV} if you mean it"
+        )
     _require_connected(g, "toughness")
     if g.n < 2:
         raise DisconnectedGraph("toughness needs at least two vertices")
@@ -136,20 +132,6 @@ def toughness_of_cut(g: Graph, s: VertexSet) -> Fraction | None:
 
 
 def is_k_tough(g: Graph, k: Fraction, max_n: int | None = None) -> bool:
-    """True iff every disconnecting S has |S| >= k * c(G-S).
-
-    Returns False after the first size class holding a violator; size
-    classes with s/(n-s) >= k cannot hold one, and neither can any later
-    class.
-    """
-    _check_cap(g, max_n, "is_k_tough")
-    _require_connected(g, "k-toughness")
-    n = g.n
-    p, q = k.numerator, k.denominator
-    for s in range(0, n - 1):
-        if s * q >= p * (n - s):
-            break
-        c, _ = _class_max(g, s)
-        if c > 1 and s * q < p * c:
-            return False
-    return True
+    """True iff every disconnecting S has |S| >= k * c(G-S), i.e. t(G) >= k."""
+    result = exact_toughness(g, max_n)
+    return result is None or result.t >= k

@@ -55,10 +55,7 @@ def test_criterion_1_theorem_on_corpus(corpus, corpus_spectra):
     checked = defined = 0
     for spec, g in corpus:
         result = exact_toughness(g) if g.n <= TOUGHNESS_CAP else None
-        bound_report = verify_theorem(
-            g, profile=corpus_spectra[spec], toughness=result,
-            include_toughness=False,
-        )
+        bound_report = verify_theorem(g, corpus_spectra[spec].lam, result)
         checked += 1
         if result is not None:
             defined += 1
@@ -87,17 +84,18 @@ def test_criterion_3_mixing_lemma(corpus, corpus_spectra):
     for spec, g in corpus:
         lam = corpus_spectra[spec].lam
         if g.n <= EXHAUSTIVE_MIXING_CAP:
-            worst = exhaustive_mixing_verify(g, lam=lam)
+            worst = exhaustive_mixing_verify(g, lam)
             exhaustive += 1
         else:
-            worst = sampled_mixing_verify(g, MIXING_SAMPLES, MIXING_SEED, lam=lam)
+            worst = sampled_mixing_verify(g, MIXING_SAMPLES, MIXING_SEED, lam)
             sampled += 1
         assert worst.slack >= -EPS, spec.label()
     # equality attained on Petersen at an independent-set pair
     p = petersen()
+    lam = spectrum(p).lam
     ind = VertexSet(10, independent_sets_of_size(p, 4)[0])
-    assert mixing_check(p, ind, ind).slack == pytest.approx(0.0, abs=EPS)
-    assert exhaustive_mixing_verify(p).slack == pytest.approx(0.0, abs=EPS)
+    assert mixing_check(p, ind, ind, lam).slack == pytest.approx(0.0, abs=EPS)
+    assert exhaustive_mixing_verify(p, lam).slack == pytest.approx(0.0, abs=EPS)
     report(3, f"mixing slack >= -1e-9 ({exhaustive} graphs exhaustive, "
               f"{sampled} sampled at {MIXING_SAMPLES} pairs, seed {MIXING_SEED}); "
               f"equality on Petersen")
@@ -109,7 +107,7 @@ def test_criterion_4_component_bound(corpus, corpus_spectra):
         if g.n > COMPONENT_BOUND_CAP:
             continue
         lam = corpus_spectra[spec].lam
-        assert verify_component_bound(g, lam=lam), spec.label()
+        assert verify_component_bound(g, lam), spec.label()
         checked += 1
     assert max_components_over_cuts(petersen()) == 4  # equals the bound exactly
     report(4, f"c(G-S) <= lambda*n/(d+lambda) on all cuts of {checked} graphs; "

@@ -7,7 +7,9 @@ from hypothesis import given, strategies as st
 from toughlab import (
     alon_bound,
     brouwer_bound,
+    exact_toughness,
     gu_bound,
+    spectrum,
     theorem_bound,
     verify_theorem,
 )
@@ -42,10 +44,9 @@ def test_theorem_bound_values():
 
 def test_nonpositive_lambda_rejected():
     for fn in (alon_bound, brouwer_bound, gu_bound, theorem_bound):
-        with pytest.raises(ValueError):
-            fn(3, 0.0)
-        with pytest.raises(ValueError):
-            fn(3, -1.0)
+        for lam in (None, 0.0, -1.0):
+            with pytest.raises(ValueError, match="lambda must be positive"):
+                fn(3, lam)
 
 
 @given(st.integers(1, 60), st.floats(1e-3, 60.0))
@@ -64,8 +65,13 @@ def test_monotone_decreasing_in_lambda(d, lam, bump):
     assert theorem_bound(d, lam + bump) < theorem_bound(d, lam)
 
 
+def verify(g):
+    """verify_theorem with lambda and t computed as the CLI computes them."""
+    return verify_theorem(g, spectrum(g).lam, exact_toughness(g))
+
+
 def test_verify_theorem_petersen():
-    report = verify_theorem(petersen())
+    report = verify(petersen())
     assert report.d == 3
     assert report.lam == pytest.approx(2, abs=1e-9)
     assert report.theorem == pytest.approx(0.5, abs=1e-9)
@@ -75,7 +81,7 @@ def test_verify_theorem_petersen():
 
 
 def test_verify_theorem_cycle4():
-    report = verify_theorem(cycle(4))
+    report = verify(cycle(4))
     assert report.d == 2
     assert report.theorem == pytest.approx(0.0, abs=1e-9)
     assert report.exact_t == Fraction(1)
@@ -83,22 +89,27 @@ def test_verify_theorem_cycle4():
 
 
 def test_verify_theorem_complete5():
-    report = verify_theorem(complete(5))
+    report = verify(complete(5))
     assert report.exact_t is None
     assert report.slack is None
     assert not report.violation
 
 
 def test_verify_theorem_rejects_bad_input():
+    path3 = from_edge_list(3, [(0, 1), (1, 2)])
     with pytest.raises(NotRegularGraph):
-        verify_theorem(from_edge_list(3, [(0, 1), (1, 2)]))
+        verify_theorem(path3, spectrum(path3).lam, None)
+    two_edges = from_edge_list(4, [(0, 1), (2, 3)])
     with pytest.raises(DisconnectedGraph):
-        verify_theorem(from_edge_list(4, [(0, 1), (2, 3)]))
+        verify_theorem(two_edges, spectrum(two_edges).lam, None)
+    for lam in (None, 0.0):
+        with pytest.raises(ValueError, match="lambda must be positive"):
+            verify_theorem(petersen(), lam, None)
 
 
 def test_tightness_gap():
     def gap(g):
-        return verify_theorem(g).tight_gap
+        return verify(g).tight_gap
 
     assert gap(petersen()) == pytest.approx(1 / 6, abs=1e-9)
     assert gap(cycle(4)) == pytest.approx(0.0, abs=1e-9)
@@ -107,7 +118,7 @@ def test_tightness_gap():
 
 
 def test_json_dict_field_names():
-    payload = verify_theorem(petersen()).to_json_dict()
+    payload = verify(petersen()).to_json_dict()
     assert set(payload) == {
         "d", "lambda", "alon", "brouwer", "gu", "theorem",
         "exact_t", "slack", "tight_gap", "violation",

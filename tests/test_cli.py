@@ -153,6 +153,29 @@ class TestAnalyze:
         assert code == 2 and out == ""
         assert "TOUGHLAB_MAX_N" in err
 
+    @pytest.mark.parametrize("edges, flags", [
+        ("1 0", ["--bounds"]),
+        ("1 0", ["--mixing", "sampled"]),
+        ("1 0", ["--component-bound"]),
+        ("2 0", ["--component-bound"]),
+        ("2 0", ["--mixing", "exhaustive"]),
+    ], ids=["n1-bounds", "n1-sampled", "n1-component", "n2-component", "n2-exhaustive"])
+    def test_edgeless_spectral_checks_exit_2(self, capsys, tmp_path, edges, flags):
+        # lambda is None at n = 1 and 0 without edges; every spectral check
+        # needs lambda > 0, so the run stops before the first one.
+        path = tmp_path / "edgeless.txt"
+        path.write_text(edges + "\n")
+        code, out, err = run(capsys, "analyze", str(path), *flags)
+        assert code == 2 and out == ""
+        assert err.startswith("error: lambda must be positive")
+        assert err.count("\n") == 1
+
+    def test_partition_without_toughness_checked_first(self, capsys, tmp_path):
+        missing = str(tmp_path / "missing.g6")
+        code, out, err = run(capsys, "analyze", missing, "--partition")
+        assert code == 2 and out == ""
+        assert err == "error: --partition requires --toughness\n"
+
     def test_toughness_cap_exit_2(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("TOUGHLAB_MAX_N", "5")
         from toughlab.families import cycle
@@ -181,6 +204,24 @@ class TestVerifyCorpus:
         code, out, _ = run(capsys, "verify-corpus", str(manifest))
         assert code == 0
         assert "0 graphs checked" in out
+
+    def test_toughness_cap_leaves_exact_t_blank(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("TOUGHLAB_MAX_N", "5")
+        manifest = tmp_path / "m.txt"
+        manifest.write_text("cycle 5\npetersen\n")
+        code, out, _ = run(capsys, "verify-corpus", str(manifest), "--samples", "100")
+        assert code == 0
+        rows = {line.rsplit(None, 8)[0]: line.split()[-4]
+                for line in out.splitlines()[2:4]}
+        assert rows == {"cycle 5": "1", "petersen": "-"}
+
+    def test_invalid_cap_env_exit_2(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("TOUGHLAB_MAX_N", "abc")
+        manifest = tmp_path / "m.txt"
+        manifest.write_text("cycle 5\n")
+        code, out, err = run(capsys, "verify-corpus", str(manifest))
+        assert code == 2 and out == ""
+        assert "TOUGHLAB_MAX_N" in err
 
     def test_bad_manifest_line(self, capsys, tmp_path):
         manifest = tmp_path / "bad.txt"

@@ -32,6 +32,10 @@ from toughlab.mixing import COMPONENT_BOUND_MAX_N, _random_masks
 from conftest import independent_sets_of_size
 
 
+def lam_of(g):
+    return spectrum(g).lam
+
+
 @pytest.fixture(scope="module")
 def petersen_independent_set():
     p = petersen()
@@ -42,7 +46,7 @@ def petersen_independent_set():
 
 def test_mixing_equality_on_petersen_independent_set(petersen_independent_set):
     p, a = petersen_independent_set
-    check = mixing_check(p, a, a)
+    check = mixing_check(p, a, a, lam_of(p))
     assert check.e_ab == 0
     assert check.expected == pytest.approx(4.8, abs=1e-9)
     assert check.bound == pytest.approx(4.8, abs=1e-9)
@@ -50,7 +54,8 @@ def test_mixing_equality_on_petersen_independent_set(petersen_independent_set):
 
 
 def test_mixing_empty_set():
-    check = mixing_check(petersen(), VertexSet(10), VertexSet(10))
+    p = petersen()
+    check = mixing_check(p, VertexSet(10), VertexSet(10), lam_of(p))
     assert check.e_ab == 0 and check.expected == 0 and check.bound == 0
     assert check.slack == 0
 
@@ -58,7 +63,7 @@ def test_mixing_empty_set():
 def test_mixing_full_set():
     p = petersen()
     full = VertexSet.full(10)
-    check = mixing_check(p, full, full)
+    check = mixing_check(p, full, full, lam_of(p))
     assert check.e_ab == 2 * p.m == 30
     assert check.expected == pytest.approx(30, abs=1e-9)
     assert check.bound == pytest.approx(0, abs=1e-9)
@@ -68,12 +73,12 @@ def test_mixing_full_set():
 def test_mixing_rejects_irregular():
     path3 = from_edge_list(3, [(0, 1), (1, 2)])
     with pytest.raises(NotRegularGraph):
-        mixing_check(path3, VertexSet(3), VertexSet(3))
+        mixing_check(path3, VertexSet(3), VertexSet(3), lam_of(path3))
 
 
 def test_single_set_petersen(petersen_independent_set):
     p, a = petersen_independent_set
-    check = mixing_check_single(p, a)
+    check = mixing_check_single(p, a, lam_of(p))
     assert check.e_ab == 0
     assert check.expected == pytest.approx(2.4, abs=1e-9)
     assert check.bound == pytest.approx(2.4, abs=1e-9)
@@ -82,7 +87,7 @@ def test_single_set_petersen(petersen_independent_set):
 
 def test_single_set_cycle6():
     a = VertexSet.of(6, [0, 1, 2])
-    check = mixing_check_single(cycle(6), a)
+    check = mixing_check_single(cycle(6), a, lam_of(cycle(6)))
     assert check.e_ab == 2
     assert abs(check.e_ab - check.expected) == pytest.approx(0.5, abs=1e-9)
     assert check.bound == pytest.approx(1.5, abs=1e-9)
@@ -90,37 +95,40 @@ def test_single_set_cycle6():
 
 def test_single_is_half_of_pair_slack():
     p = petersen()
+    lam = lam_of(p)
     for bits in (0, 0b1010101010, 0b11111, 0b1111111111):
         a = VertexSet(10, bits)
-        single = mixing_check_single(p, a)
-        pair = mixing_check(p, a, a)
+        single = mixing_check_single(p, a, lam)
+        pair = mixing_check(p, a, a, lam)
         assert single.slack == pytest.approx(pair.slack / 2, abs=1e-9)
 
 
 @pytest.mark.parametrize("g", [petersen(), complete(4), cycle(4), hypercube(3)])
 def test_exhaustive_verify(g):
-    worst = exhaustive_mixing_verify(g)
+    worst = exhaustive_mixing_verify(g, lam_of(g))
     assert worst.slack >= -1e-9
 
 
 def test_exhaustive_worst_is_equality_on_petersen():
-    worst = exhaustive_mixing_verify(petersen())
+    p = petersen()
+    worst = exhaustive_mixing_verify(p, lam_of(p))
     assert worst.slack == pytest.approx(0.0, abs=1e-9)
 
 
 def test_exhaustive_cap():
     with pytest.raises(GraphTooLarge):
-        exhaustive_mixing_verify(cycle(12))
+        exhaustive_mixing_verify(cycle(12), lam_of(cycle(12)))
 
 
 def test_sampled_verify_and_determinism():
     g = cycle(12)
-    a = sampled_mixing_verify(g, samples=500, seed=7)
-    b = sampled_mixing_verify(g, samples=500, seed=7)
+    lam = lam_of(g)
+    a = sampled_mixing_verify(g, samples=500, seed=7, lam=lam)
+    b = sampled_mixing_verify(g, samples=500, seed=7, lam=lam)
     assert a == b
     assert a.slack >= -1e-9
-    c = sampled_mixing_verify(g, samples=1, seed=8)
-    d = sampled_mixing_verify(g, samples=1, seed=9)
+    c = sampled_mixing_verify(g, samples=1, seed=8, lam=lam)
+    d = sampled_mixing_verify(g, samples=1, seed=9, lam=lam)
     assert (c.a, c.b) != (d.a, d.b)
 
 
@@ -148,27 +156,32 @@ def _sampled_reference(g, samples, seed, lam):
 @pytest.mark.parametrize("g", [cycle(12), random_regular(16, 3, 1), kneser(7, 3)],
                          ids=["cycle12", "rr16_3_1", "kneser7_3"])
 def test_sampled_verify_matches_loop(g):
-    lam = spectrum(g).lam
+    lam = lam_of(g)
     assert sampled_mixing_verify(g, 300, 7, lam) == _sampled_reference(g, 300, 7, lam)
 
 
 def test_sampled_verify_hypercube6():
     # n = 64: the masks fill every bit of a 64-bit word.
-    worst = sampled_mixing_verify(hypercube(6), 2000, 42)
+    g = hypercube(6)
+    worst = sampled_mixing_verify(g, 2000, 42, lam_of(g))
     assert math.isfinite(worst.slack)
     assert worst.slack >= -1e-9
 
 
 def test_component_count_bound_values():
-    assert component_count_bound(petersen()) == pytest.approx(4, abs=1e-8)
-    assert component_count_bound(complete(5)) == pytest.approx(1, abs=1e-8)
-    assert component_count_bound(complete_bipartite(3, 3)) == pytest.approx(3, abs=1e-8)
+    for g, value in ((petersen(), 4), (complete(5), 1), (complete_bipartite(3, 3), 3)):
+        assert component_count_bound(g, lam_of(g)) == pytest.approx(value, abs=1e-8)
+
+
+@pytest.mark.parametrize("lam", [None, 0.0, -1.0])
+def test_component_count_bound_rejects_nonpositive_lambda(lam):
+    with pytest.raises(ValueError, match="lambda must be positive"):
+        component_count_bound(petersen(), lam)
 
 
 def test_verify_component_bound():
-    assert verify_component_bound(petersen())
-    assert verify_component_bound(cycle(6))
-    assert verify_component_bound(complete(4))  # vacuous: no disconnecting cut
+    for g in (petersen(), cycle(6), complete(4)):  # K4 is vacuous: no cut
+        assert verify_component_bound(g, lam_of(g))
 
 
 # Corpus graphs in reach of the cut scan that some cut disconnects (not K_n).
@@ -195,14 +208,9 @@ def test_component_bound_attained():
     assert max_components_over_cuts(complete(4)) == 0
 
 
-def test_component_bound_cap(monkeypatch):
+def test_component_bound_cap():
+    g = cycle(13)
     with pytest.raises(GraphTooLarge):
-        max_components_over_cuts(cycle(13))
-
-    def no_spectrum(g):
-        raise AssertionError("spectrum computed before the size cap")
-
-    # The cap is checked before lambda is needed, not at the first cut.
-    monkeypatch.setattr("toughlab.mixing.spectrum", no_spectrum)
+        max_components_over_cuts(g)
     with pytest.raises(GraphTooLarge):
-        verify_component_bound(cycle(13))
+        verify_component_bound(g, lam_of(g))

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from toughlab import check_regular_spectrum, spectrum
+from toughlab import spectrum
 from toughlab import spectra
-from toughlab.errors import NoConvergence, NotRegularGraph, TooFewVertices
+from toughlab.errors import NoConvergence, TooFewVertices
 from toughlab.families import (
     circulant,
     complete,
@@ -59,19 +59,6 @@ def test_single_vertex_spectrum():
 def test_empty_graph_spectrum():
     with pytest.raises(TooFewVertices):
         spectrum(from_edge_list(0, []))
-
-
-def test_check_regular_spectrum():
-    p = petersen()
-    assert check_regular_spectrum(p, spectrum(p))
-    c6 = cycle(6)
-    assert check_regular_spectrum(c6, spectrum(c6))
-
-
-def test_check_regular_spectrum_rejects_irregular():
-    path3 = from_edge_list(3, [(0, 1), (1, 2)])
-    with pytest.raises(NotRegularGraph):
-        check_regular_spectrum(path3, spectrum(path3))
 
 
 @pytest.mark.parametrize("g", [cycle(7), complete(6), petersen(),
