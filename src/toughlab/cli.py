@@ -29,7 +29,6 @@ from .graph import (
 )
 from .mixing import (
     EXHAUSTIVE_MAX_N,
-    COMPONENT_BOUND_MAX_N,
     MixingCheck,
     component_count_bound,
     exhaustive_mixing_verify,
@@ -38,7 +37,7 @@ from .mixing import (
 )
 from .partition import claim2_partition
 from .spectra import LAMBDA_EPS, spectrum
-from .toughness import exact_toughness, toughness_search_cap
+from .toughness import COMPONENT_BOUND_MAX_N, DEFAULT_MAX_N, exact_toughness
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -49,7 +48,38 @@ EXIT_BROKEN_PIPE = 141
 REPORT_SCHEMA = "toughlab-report/1"
 
 DEFAULT_SAMPLES = 100_000
+# Sampled mixing draws all pairs in one getrandbits call of 64*ceil(n/32)
+# bits per pair, and CPython refuses a draw of 2^31 bits or more: past
+# 16.7M pairs at n > 32 it raised OverflowError.
+MAX_SAMPLES = 10_000_000
 DEFAULT_SEED = 42
+
+MAX_N_ENV = "TOUGHLAB_MAX_N"
+
+
+def toughness_search_cap() -> int:
+    """Exact-toughness size cap: ``TOUGHLAB_MAX_N`` if set, else the library default."""
+    raw = os.environ.get(MAX_N_ENV)
+    if raw is None:
+        return DEFAULT_MAX_N
+    try:
+        cap = int(raw)
+    except ValueError:
+        raise ToughlabError(f"{MAX_N_ENV}={raw!r} is not an integer") from None
+    if cap < 1:
+        raise ToughlabError(f"{MAX_N_ENV}={cap} is below 1")
+    return cap
+
+
+def _sample_count(text: str) -> int:
+    """``--samples`` value, checked while the arguments are parsed."""
+    try:
+        samples = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+    if not 1 <= samples <= MAX_SAMPLES:
+        raise argparse.ArgumentTypeError(f"{samples} is outside 1..{MAX_SAMPLES}")
+    return samples
 
 
 def _read_graph(path: str) -> Graph:
@@ -120,8 +150,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
     tough = None
     if args.toughness:
-        cap = g.n if args.force else None
-        tough = exact_toughness(g, max_n=cap)
+        tough = exact_toughness(g, g.n if args.force else toughness_search_cap())
         if tough is None:
             report["toughness"] = {"undefined": True}
         else:
@@ -180,7 +209,7 @@ def cmd_verify_corpus(args: argparse.Namespace) -> int:
     for spec in specs:
         g = families.build(spec)
         lam = _check_lambda(spectrum(g).lam)
-        tough = exact_toughness(g) if g.n <= cap else None
+        tough = exact_toughness(g, cap) if g.n <= cap else None
         report = verify_theorem(g, lam, tough)
         mode = "exhaustive" if g.n <= EXHAUSTIVE_MAX_N else "sampled"
         worst = _worst_mixing_pair(g, mode, args, lam)
@@ -224,18 +253,19 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--toughness", action="store_true")
     analyze.add_argument("--bounds", action="store_true")
     analyze.add_argument("--mixing", choices=["exhaustive", "sampled"], default=None)
-    analyze.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
+    analyze.add_argument("--samples", type=_sample_count, default=DEFAULT_SAMPLES)
     analyze.add_argument("--seed", type=int, default=DEFAULT_SEED)
     analyze.add_argument("--component-bound", action="store_true")
     analyze.add_argument("--partition", action="store_true")
     analyze.add_argument("--force", action="store_true",
-                         help="lift the exact-toughness size cap")
+                         help="lift the exact-toughness size cap "
+                         f"({MAX_N_ENV}, default {DEFAULT_MAX_N})")
     analyze.set_defaults(func=cmd_analyze)
 
     verify = sub.add_parser("verify-corpus", help="verify bounds on a corpus")
     verify.add_argument("manifest", nargs="?", default=None,
                         help="family specs, one per line (default: shipped corpus)")
-    verify.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
+    verify.add_argument("--samples", type=_sample_count, default=DEFAULT_SAMPLES)
     verify.add_argument("--seed", type=int, default=DEFAULT_SEED)
     verify.set_defaults(func=cmd_verify_corpus)
 

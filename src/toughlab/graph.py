@@ -247,14 +247,6 @@ def count_components(g: Graph, removed_bits: int) -> int:
     return len(_component_masks(g, ~removed_bits & (1 << g.n) - 1))
 
 
-def _disconnecting_cuts(g: Graph) -> Iterator[tuple[int, int]]:
-    """``(mask, c)`` for each mask 0..2^n-2 whose removal leaves c >= 2 components."""
-    for mask in range((1 << g.n) - 1):
-        c = count_components(g, mask)
-        if c >= 2:
-            yield mask, c
-
-
 def e_between(g: Graph, a: VertexSet, b: VertexSet) -> int:
     """Edge incidences with one end in ``a`` and the other in ``b``.
 

@@ -23,18 +23,11 @@ import numpy as np
 
 from .bounds import _check_lambda
 from .errors import GraphTooLarge
-from .graph import (
-    Graph,
-    VertexSet,
-    _disconnecting_cuts,
-    _require_regular,
-    e_between,
-    e_within,
-)
+from .graph import Graph, VertexSet, _require_regular, e_between, e_within
 from .spectra import LAMBDA_EPS, adjacency_matrix
+from .toughness import max_components_over_cuts
 
 EXHAUSTIVE_MAX_N = 10
-COMPONENT_BOUND_MAX_N = 12
 
 
 @dataclass(frozen=True)
@@ -165,15 +158,6 @@ def component_count_bound(g: Graph, lam: float) -> float:
     d = _require_regular(g)
     _check_lambda(lam)
     return lam * g.n / (d + lam)
-
-
-def max_components_over_cuts(g: Graph) -> int:
-    """Largest c(G-S) over all proper S that disconnect the graph; 0 if none."""
-    if g.n > COMPONENT_BOUND_MAX_N:
-        raise GraphTooLarge(
-            f"cut enumeration on n={g.n} exceeds the cap {COMPONENT_BOUND_MAX_N}"
-        )
-    return max((c for _, c in _disconnecting_cuts(g)), default=0)
 
 
 def verify_component_bound(g: Graph, lam: float) -> bool:

@@ -1,31 +1,27 @@
 """Exact graph toughness t(G) = min |S| / c(G-S) over disconnecting sets S.
 
-Two independent code paths: a pruned size-class search (the production route)
-and a naive all-subsets oracle that cross-validates it in the tests and
-computes the benchmark's golden frontier values (``bench/make_golden.py``).
-Ratios are exact ``fractions.Fraction`` values; floats would make ties
-ambiguous.
+This is the one module that enumerates vertex cuts.  Two independent code
+paths compute t: a pruned size-class search (the production route) and a
+naive all-subsets oracle that cross-validates it in the tests and computes
+the benchmark's golden frontier values (``bench/make_golden.py``).  The same
+size-class scan, unpruned, gives the largest component count over all cuts
+for the spectral component-count ceiling.  Ratios are exact
+``fractions.Fraction`` values; floats would make ties ambiguous.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .errors import DisconnectedGraph, GraphTooLarge, SNotProper, ToughlabError
-from .graph import (
-    Graph,
-    VertexSet,
-    _disconnecting_cuts,
-    _require_connected,
-    count_components,
-)
+from .errors import DisconnectedGraph, GraphTooLarge, SNotProper
+from .graph import Graph, VertexSet, _require_connected, count_components
 
 # Past this the subset space is no longer a desk-scale computation.
 DEFAULT_MAX_N = 24
-MAX_N_ENV = "TOUGHLAB_MAX_N"
+# The unpruned scan counts components for all 2^n - 1 proper subsets.
+COMPONENT_BOUND_MAX_N = 12
 
 
 @dataclass(frozen=True)
@@ -33,19 +29,6 @@ class ToughnessResult:
     t: Fraction
     witness: VertexSet
     components: int
-
-
-def toughness_search_cap() -> int:
-    raw = os.environ.get(MAX_N_ENV)
-    if raw is None:
-        return DEFAULT_MAX_N
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ToughlabError(f"{MAX_N_ENV}={raw!r} is not an integer") from None
-    if cap < 1:
-        raise ToughlabError(f"{MAX_N_ENV}={cap} is below 1")
-    return cap
 
 
 def _subsets_of_size(n: int, k: int) -> Iterator[int]:
@@ -73,7 +56,7 @@ def _class_max(g: Graph, s: int) -> tuple[int, int]:
     return best_c, best_mask
 
 
-def exact_toughness(g: Graph, max_n: int | None = None) -> ToughnessResult | None:
+def exact_toughness(g: Graph, max_n: int = DEFAULT_MAX_N) -> ToughnessResult | None:
     """Globally minimal |S|/c(G-S) with a witness cut set.
 
     Returns None when no proper S disconnects the graph (complete graphs):
@@ -86,11 +69,10 @@ def exact_toughness(g: Graph, max_n: int | None = None) -> ToughnessResult | Non
     class can either.  The witness is the first mask, in enumeration order,
     attaining the minimum.
     """
-    cap = toughness_search_cap() if max_n is None else max_n
-    if g.n > cap:
+    if g.n > max_n:
         raise GraphTooLarge(
-            f"exact toughness on n={g.n} exceeds the cap {cap}; "
-            f"raise it explicitly or via {MAX_N_ENV} if you mean it"
+            f"exact toughness on n={g.n} exceeds the cap {max_n}; "
+            "raise it explicitly if you mean it"
         )
     _require_connected(g, "toughness")
     if g.n < 2:
@@ -111,12 +93,22 @@ def exact_toughness(g: Graph, max_n: int | None = None) -> ToughnessResult | Non
 def naive_toughness(g: Graph) -> ToughnessResult | None:
     """Unpruned all-subsets oracle.  Test cross-check only; O(2^n)."""
     _require_connected(g, "toughness")
-    best = min(_disconnecting_cuts(g),
-               key=lambda cut: Fraction(cut[0].bit_count(), cut[1]), default=None)
-    if best is None:
-        return None
-    mask, c = best
-    return ToughnessResult(Fraction(mask.bit_count(), c), VertexSet(g.n, mask), c)
+    best = None
+    for mask in range((1 << g.n) - 1):
+        c = count_components(g, mask)
+        if c >= 2 and (best is None or Fraction(mask.bit_count(), c) < best.t):
+            best = ToughnessResult(Fraction(mask.bit_count(), c), VertexSet(g.n, mask), c)
+    return best
+
+
+def max_components_over_cuts(g: Graph) -> int:
+    """Largest c(G-S) over all proper S that disconnect the graph; 0 if none."""
+    if g.n > COMPONENT_BOUND_MAX_N:
+        raise GraphTooLarge(
+            f"cut enumeration on n={g.n} exceeds the cap {COMPONENT_BOUND_MAX_N}"
+        )
+    best = max((_class_max(g, s)[0] for s in range(g.n)), default=1)
+    return best if best >= 2 else 0
 
 
 def toughness_of_cut(g: Graph, s: VertexSet) -> Fraction | None:
@@ -131,7 +123,7 @@ def toughness_of_cut(g: Graph, s: VertexSet) -> Fraction | None:
     return Fraction(len(s), c)
 
 
-def is_k_tough(g: Graph, k: Fraction, max_n: int | None = None) -> bool:
+def is_k_tough(g: Graph, k: Fraction, max_n: int = DEFAULT_MAX_N) -> bool:
     """True iff every disconnecting S has |S| >= k * c(G-S), i.e. t(G) >= k."""
     result = exact_toughness(g, max_n)
     return result is None or result.t >= k

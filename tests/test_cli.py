@@ -230,6 +230,17 @@ class TestVerifyCorpus:
         assert code == 2
 
 
+@pytest.mark.parametrize("samples", ["0", "-1", "10000000000000"])
+@pytest.mark.parametrize("command", ["analyze", "verify-corpus"])
+def test_samples_out_of_range_exit_2(capsys, petersen_file, command, samples):
+    # Checked while the arguments are parsed: no header row, no traceback.
+    argv = [petersen_file, "--mixing", "sampled"] if command == "analyze" else []
+    code, out, err = run(capsys, command, *argv, "--samples", samples)
+    assert code == 2 and out == ""
+    assert f"--samples: {samples} is outside 1..10000000" in err
+    assert "Traceback" not in err
+
+
 def test_analyze_byte_identical_across_runs(petersen_file):
     cmd = [sys.executable, "-m", "toughlab.cli", "analyze", petersen_file,
            "--bounds", "--toughness", "--mixing", "sampled",

@@ -27,7 +27,8 @@ from toughlab.families import (
     random_regular,
 )
 from toughlab.graph import from_edge_list
-from toughlab.mixing import COMPONENT_BOUND_MAX_N, _random_masks
+from toughlab.mixing import _random_masks
+from toughlab.toughness import COMPONENT_BOUND_MAX_N
 
 from conftest import independent_sets_of_size
 
@@ -184,11 +185,18 @@ def test_verify_component_bound():
         assert verify_component_bound(g, lam_of(g))
 
 
-# Corpus graphs in reach of the cut scan that some cut disconnects (not K_n).
-SMALL_CUT_GRAPHS = {
+# Every corpus graph in reach of the cut scan, complete ones (K4 among them)
+# included.
+SCANNABLE_GRAPHS = {
     spec.label().replace(" ", "_"): g
     for spec, g in ((spec, build(spec)) for spec in default_corpus())
-    if g.n <= COMPONENT_BOUND_MAX_N and g.m < g.n * (g.n - 1) // 2
+    if g.n <= COMPONENT_BOUND_MAX_N
+}
+
+# The ones that some cut disconnects (not K_n).
+SMALL_CUT_GRAPHS = {
+    label: g for label, g in SCANNABLE_GRAPHS.items()
+    if g.m < g.n * (g.n - 1) // 2
 }
 
 
@@ -200,6 +208,21 @@ def test_component_bound_can_fail(g):
     lam_star = g.degree(0) * c / (g.n - c)
     assert verify_component_bound(g, lam=lam_star)
     assert not verify_component_bound(g, lam=lam_star * (1 - 1e-6))
+
+
+def independence_number(g):
+    """Brute-force alpha(G) over all 2^n vertex sets, independent of the scan."""
+    return max(mask.bit_count() for mask in range(1 << g.n)
+               if not any(mask >> v & 1 and g.adj[v] & mask for v in range(g.n)))
+
+
+@pytest.mark.parametrize("g", SCANNABLE_GRAPHS.values(), ids=SCANNABLE_GRAPHS.keys())
+def test_max_components_is_independence_number(g):
+    # Each component of G - S holds a vertex, and one per component is an
+    # independent set, so c(G-S) <= alpha; S = V - I for a maximum
+    # independent set I leaves alpha singletons, a cut when alpha >= 2.
+    alpha = independence_number(g)
+    assert max_components_over_cuts(g) == (alpha if alpha >= 2 else 0)
 
 
 def test_component_bound_attained():

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from toughlab import (
     naive_toughness,
     toughness_of_cut,
 )
+from toughlab.cli import main, toughness_search_cap
 from toughlab.errors import (
     DisconnectedGraph,
     GraphTooLarge,
@@ -25,8 +27,7 @@ from toughlab.families import (
     petersen,
     random_regular,
 )
-from toughlab.graph import from_edge_list
-from toughlab.toughness import toughness_search_cap
+from toughlab.graph import emit_graph6, from_edge_list
 
 
 def test_complete_graph_undefined():
@@ -67,12 +68,22 @@ def test_size_cap():
         exact_toughness(cycle(12), max_n=10)
 
 
-def test_size_cap_env_override(monkeypatch):
+def test_size_cap_env_override(monkeypatch, capsys, tmp_path):
+    # The library takes its cap as max_n; only the CLI reads the variable.
+    path = tmp_path / "c12.g6"
+    path.write_text(emit_graph6(cycle(12)) + "\n")
     monkeypatch.setenv("TOUGHLAB_MAX_N", "10")
-    with pytest.raises(GraphTooLarge):
-        exact_toughness(cycle(12))
+    assert main(["analyze", str(path), "--toughness"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "exceeds the cap 10" in err
     monkeypatch.setenv("TOUGHLAB_MAX_N", "12")
-    assert exact_toughness(cycle(12)).t == Fraction(1)
+    assert main(["analyze", str(path), "--toughness"]) == 0
+    assert json.loads(capsys.readouterr().out)["toughness"]["t"] == {"num": 1, "den": 1}
+
+
+def test_library_cap_ignores_env(monkeypatch):
+    monkeypatch.setenv("TOUGHLAB_MAX_N", "5")
+    assert exact_toughness(cycle(8)).t == Fraction(1)
 
 
 @pytest.mark.parametrize("raw", ["abc", "1.5", "", "-3", "0"])
