@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 from . import families
@@ -19,7 +20,6 @@ from .errors import MalformedGraph6, ToughlabError
 from .graph import (
     Graph,
     NotRegular,
-    components,
     emit_edge_list,
     emit_graph6,
     is_connected,
@@ -29,7 +29,6 @@ from .graph import (
 )
 from .mixing import (
     EXHAUSTIVE_MAX_N,
-    MixingCheck,
     component_count_bound,
     exhaustive_mixing_verify,
     sampled_mixing_verify,
@@ -110,17 +109,16 @@ def cmd_gen(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _worst_mixing_pair(g: Graph, mode: str, args: argparse.Namespace,
-                       lam: float) -> MixingCheck:
-    if mode == "exhaustive":
-        return exhaustive_mixing_verify(g, lam)
-    return sampled_mixing_verify(g, args.samples, args.seed, lam)
+def _check_graph(g: Graph, *, toughness_cap: int | None, bounds: bool,
+                 mixing: str | None, component_bound: bool, partition: bool,
+                 samples: int, seed: int) -> tuple[dict, bool]:
+    """The ``toughlab-report/1`` dict for one graph, and whether it records a
+    violation.
 
-
-def cmd_analyze(args: argparse.Namespace) -> int:
-    if args.partition and not args.toughness:
-        raise ToughlabError("--partition requires --toughness")
-    g = _read_graph(args.input)
+    ``toughness_cap`` is the exact search's ``max_n``, or None to leave t out;
+    ``mixing`` is None, ``"exhaustive"`` or ``"sampled"``.  Sections not asked
+    for stay None.
+    """
     d = regularity(g)
     report: dict = {
         "schema": REPORT_SCHEMA,
@@ -137,7 +135,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         "component_bound": None,
         "partition": None,
     }
-    if args.bounds or args.mixing or args.component_bound:
+    if bounds or mixing or component_bound:
         profile = spectrum(g)
         lam = _check_lambda(profile.lam)
         report["spectral"] = {
@@ -146,11 +144,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             "lambda": profile.lam,
             "residual": profile.residual,
         }
-    violation = False
-
     tough = None
-    if args.toughness:
-        tough = exact_toughness(g, g.n if args.force else toughness_search_cap())
+    if toughness_cap is not None:
+        tough = exact_toughness(g, toughness_cap)
         if tough is None:
             report["toughness"] = {"undefined": True}
         else:
@@ -159,36 +155,51 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                 "witness": list(tough.witness.members()),
                 "components": tough.components,
             }
-    if args.bounds:
+    violation = False
+    if bounds:
         bound_report = verify_theorem(g, lam, tough)
         report["bounds"] = bound_report.to_json_dict()
         violation = violation or bound_report.violation
-    if args.mixing:
-        worst = _worst_mixing_pair(g, args.mixing, args, lam)
-        sampled = args.mixing == "sampled"
-        report["mixing"] = {"mode": args.mixing,
-                            "samples": args.samples if sampled else None,
-                            "seed": args.seed if sampled else None,
+    if mixing:
+        sampled = mixing == "sampled"
+        if sampled:
+            worst = sampled_mixing_verify(g, samples, seed, lam)
+        else:
+            worst = exhaustive_mixing_verify(g, lam)
+        report["mixing"] = {"mode": mixing,
+                            "samples": samples if sampled else None,
+                            "seed": seed if sampled else None,
                             "worst": worst.to_json_dict()}
         violation = violation or worst.slack < -LAMBDA_EPS
-    if args.component_bound:
+    if component_bound:
         value = component_count_bound(g, lam)
         verified = None
         if g.n <= COMPONENT_BOUND_MAX_N:
             verified = verify_component_bound(g, lam)
             violation = violation or not verified
         report["component_bound"] = {"value": value, "verified": verified}
-    if args.partition:
+    if partition:
         if tough is None:
             report["partition"] = {"precondition_failed": "toughness undefined"}
         else:
-            comps = components(g, tough.witness)
             try:
-                witness = claim2_partition(comps, graph=g)
-                report["partition"] = witness.to_json_dict()
+                report["partition"] = claim2_partition(g, tough.witness).to_json_dict()
             except ToughlabError as exc:
                 report["partition"] = {"precondition_failed": str(exc)}
+    return report, violation
 
+
+def cmd_analyze(args: argparse.Namespace) -> int:
+    if args.partition and not args.toughness:
+        raise ToughlabError("--partition requires --toughness")
+    g = _read_graph(args.input)
+    cap = None
+    if args.toughness:
+        cap = g.n if args.force else toughness_search_cap()
+    report, violation = _check_graph(
+        g, toughness_cap=cap, bounds=args.bounds, mixing=args.mixing,
+        component_bound=args.component_bound, partition=args.partition,
+        samples=args.samples, seed=args.seed)
     sys.stdout.write(json.dumps(report, indent=2) + "\n")
     return EXIT_VIOLATION if violation else EXIT_OK
 
@@ -199,6 +210,8 @@ def cmd_verify_corpus(args: argparse.Namespace) -> int:
     else:
         specs = families.default_corpus()
     cap = toughness_search_cap()
+    # Every graph is built before the header, so a bad spec prints nothing.
+    graphs = [families.build(spec) for spec in specs]
     header = (
         f"{'graph':<28}{'n':>4}{'d':>4}{'lambda':>10}{'theorem':>10}"
         f"{'exact_t':>10}{'slack':>10}{'mix_slack':>11}{'comp_ok':>9}"
@@ -206,29 +219,23 @@ def cmd_verify_corpus(args: argparse.Namespace) -> int:
     print(header)
     print("-" * len(header))
     violations = 0
-    for spec in specs:
-        g = families.build(spec)
-        lam = _check_lambda(spectrum(g).lam)
-        tough = exact_toughness(g, cap) if g.n <= cap else None
-        report = verify_theorem(g, lam, tough)
-        mode = "exhaustive" if g.n <= EXHAUSTIVE_MAX_N else "sampled"
-        worst = _worst_mixing_pair(g, mode, args, lam)
-        comp_ok = None
-        if g.n <= COMPONENT_BOUND_MAX_N:
-            comp_ok = verify_component_bound(g, lam)
-        bad = (
-            report.violation
-            or worst.slack < -LAMBDA_EPS
-            or comp_ok is False
-        )
+    for spec, g in zip(specs, graphs):
+        report, bad = _check_graph(
+            g, toughness_cap=cap if g.n <= cap else None, bounds=True,
+            mixing="exhaustive" if g.n <= EXHAUSTIVE_MAX_N else "sampled",
+            component_bound=True, partition=False,
+            samples=args.samples, seed=args.seed)
         violations += bad
-        exact = "-" if report.exact_t is None else str(report.exact_t)
-        slack = "-" if report.slack is None else f"{report.slack:.6f}"
-        comp = "-" if comp_ok is None else str(comp_ok)
+        bounds = report["bounds"]
+        t = bounds["exact_t"]
+        exact = "-" if t is None else str(Fraction(t["num"], t["den"]))
+        slack = "-" if bounds["slack"] is None else f"{bounds['slack']:.6f}"
+        verified = report["component_bound"]["verified"]
+        comp = "-" if verified is None else str(verified)
         print(
-            f"{spec.label():<28}{g.n:>4}{report.d:>4}{report.lam:>10.6f}"
-            f"{report.theorem:>10.6f}{exact:>10}{slack:>10}"
-            f"{worst.slack:>11.6f}{comp:>9}"
+            f"{spec.label():<28}{g.n:>4}{bounds['d']:>4}{bounds['lambda']:>10.6f}"
+            f"{bounds['theorem']:>10.6f}{exact:>10}{slack:>10}"
+            f"{report['mixing']['worst']['slack']:>11.6f}{comp:>9}"
         )
     print(f"\n{len(specs)} graphs checked, {violations} violation(s)")
     return EXIT_VIOLATION if violations else EXIT_OK

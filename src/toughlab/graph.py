@@ -94,12 +94,6 @@ class VertexSet:
 
     __and__ = intersection
 
-    def difference(self, other: "VertexSet") -> "VertexSet":
-        self._check_ambient(other)
-        return VertexSet(self.n, self.bits & ~other.bits)
-
-    __sub__ = difference
-
     def complement(self) -> "VertexSet":
         return VertexSet(self.n, ~self.bits & (1 << self.n) - 1)
 

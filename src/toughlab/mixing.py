@@ -52,6 +52,7 @@ class MixingCheck:
 
 def mixing_check(g: Graph, a: VertexSet, b: VertexSet, lam: float) -> MixingCheck:
     """Two-set mixing inequality for one pair (A, B)."""
+    _check_lambda(lam)
     d = _require_regular(g)
     n = g.n
     e_ab = e_between(g, a, b)
@@ -64,6 +65,7 @@ def mixing_check(g: Graph, a: VertexSet, b: VertexSet, lam: float) -> MixingChec
 
 def mixing_check_single(g: Graph, a: VertexSet, lam: float) -> MixingCheck:
     """Single-set mixing inequality on e(A) (edges inside A)."""
+    _check_lambda(lam)
     d = _require_regular(g)
     n, ka = g.n, len(a)
     e_a = e_within(g, a)
@@ -94,6 +96,7 @@ def exhaustive_mixing_verify(g: Graph, lam: float) -> MixingCheck:
     re-evaluated through ``mixing_check`` so the returned record comes from
     the same code path as single checks.
     """
+    _check_lambda(lam)
     d = _require_regular(g)
     if g.n > EXHAUSTIVE_MAX_N:
         raise GraphTooLarge(
@@ -130,6 +133,7 @@ def sampled_mixing_verify(g: Graph, samples: int, seed: int, lam: float) -> Mixi
     i-th pair is A = ``getrandbits(n)`` draw 2i and B = draw 2i+1 of
     ``random.Random(seed)``, so runs are reproducible.
     """
+    _check_lambda(lam)
     d = _require_regular(g)
     if samples < 1:
         raise ValueError("samples must be at least 1")

@@ -3,9 +3,10 @@ component partition.
 
 ``index_subset`` realizes the inductive proof of the lemma: positive integers
 x_1..x_c with sum at most 2c-1 hit every target between 0 and the sum via a
-subset.  ``claim2_partition`` uses it to split the components left by a
-vertex cut into two blocks X, Y with no edges between them and at least c
-vertices each.
+subset.  ``claim2_partition(graph, cut)`` uses it to split the c components
+of G - cut into two blocks X, Y with no edges between them and at least c
+vertices each; it finds the components itself, so they are sorted, disjoint
+and nonempty by construction.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import PreconditionViolated
-from .graph import Graph, VertexSet, e_between
+from .graph import Graph, VertexSet, components, e_between
 
 
 @dataclass(frozen=True)
@@ -81,23 +82,6 @@ def check_claim1_hypothesis(comps: Sequence[VertexSet]) -> bool:
     return sum(len(v) for v in comps[:-1]) >= c
 
 
-def _validate_components(comps: Sequence[VertexSet]) -> list[int]:
-    c = len(comps)
-    if c < 2:
-        raise PreconditionViolated("need at least two components")
-    sizes = [len(v) for v in comps]
-    if any(s < 1 for s in sizes):
-        raise PreconditionViolated("components must be nonempty")
-    if sizes != sorted(sizes):
-        raise PreconditionViolated("components must be sorted ascending by size")
-    seen = 0
-    for v in comps:
-        if seen & v.bits:
-            raise PreconditionViolated("components must be pairwise disjoint")
-        seen |= v.bits
-    return sizes
-
-
 def _trim_sizes(sizes: list[int], budget: int) -> list[int]:
     # Decrement the currently largest entry (ties to the lowest index) until
     # the total matches the budget; every entry stays >= 1.
@@ -110,19 +94,22 @@ def _trim_sizes(sizes: list[int], budget: int) -> list[int]:
     return trimmed
 
 
-def claim2_partition(comps: Sequence[VertexSet], graph: Graph) -> PartitionWitness:
-    """Split components into blocks X, Y with e(X,Y)=0 and |X|,|Y| >= c.
+def claim2_partition(graph: Graph, cut: VertexSet) -> PartitionWitness:
+    """Split the components of G - ``cut`` into blocks X, Y with e(X,Y)=0 and
+    |X|,|Y| >= c.
 
-    ``comps`` must be the components of some vertex-deleted subgraph of
-    ``graph``, ascending by size, with at least 2c+1 vertices in total.  The
+    Needs c >= 2 components holding at least 2c+1 vertices in total.  The
     cross-edge count is measured against ``graph`` rather than trusted.
     """
-    sizes = _validate_components(comps)
+    comps = components(graph, cut)
     c = len(comps)
+    if c < 2:
+        raise PreconditionViolated("need at least two components")
+    sizes = [len(v) for v in comps]
     total = sum(sizes)
     if total < 2 * c + 1:
         raise PreconditionViolated(f"need at least {2 * c + 1} vertices, got {total}")
-    n = comps[0].n
+    n = graph.n
     largest = sizes[-1]
     if largest >= c:
         if not check_claim1_hypothesis(comps):

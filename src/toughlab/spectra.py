@@ -116,7 +116,7 @@ def spectrum(g: Graph) -> SpectralProfile:
     order = np.argsort(-diag, kind="stable")
     eigenvalues = diag[order]
     vecs = vecs[:, order]
-    residual = float(np.abs(a0 @ vecs - vecs * eigenvalues).max()) if g.n else 0.0
+    residual = float(np.abs(a0 @ vecs - vecs * eigenvalues).max())
     lambda1 = float(eigenvalues[0])
     lam = None
     if g.n >= 2:

@@ -141,7 +141,7 @@ def test_criterion_6_claim2_partition():
             if sizes[-1] >= c and sum(sizes[:-1]) < c:
                 continue
             g, comps = clique_components(list(sizes))
-            witness = claim2_partition(comps, graph=g)
+            witness = claim2_partition(g, VertexSet(g.n))
             assert witness.x.isdisjoint(witness.y)
             assert (witness.x | witness.y) == VertexSet.full(g.n)
             assert witness.size_x >= c and witness.size_y >= c

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -8,8 +9,8 @@ from pathlib import Path
 import pytest
 
 from toughlab.cli import main
-from toughlab.families import petersen
-from toughlab.graph import emit_graph6
+from toughlab.families import kneser, petersen, random_regular
+from toughlab.graph import emit_edge_list, emit_graph6, from_edge_list
 
 
 @pytest.fixture
@@ -229,6 +230,16 @@ class TestVerifyCorpus:
         code, _, _ = run(capsys, "verify-corpus", str(manifest))
         assert code == 2
 
+    @pytest.mark.parametrize("bad", ["bogus 3", "cycle 2", "random_regular 5 3 1"])
+    def test_unbuildable_spec_after_good_line_prints_nothing(self, capsys,
+                                                             tmp_path, bad):
+        # Every graph is built before the header, so no partial table.
+        manifest = tmp_path / "m.txt"
+        manifest.write_text(f"cycle 5\n{bad}\n")
+        code, out, err = run(capsys, "verify-corpus", str(manifest))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 @pytest.mark.parametrize("samples", ["0", "-1", "10000000000000"])
 @pytest.mark.parametrize("command", ["analyze", "verify-corpus"])
@@ -249,6 +260,33 @@ def test_analyze_byte_identical_across_runs(petersen_file):
     second = subprocess.run(cmd, capture_output=True)
     assert first.returncode == 0
     assert first.stdout == second.stdout
+
+
+def _relabelled(g, seed):
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return from_edge_list(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+@pytest.mark.parametrize("make_input, flags, digest", [
+    (lambda: emit_graph6(petersen()) + "\n",
+     "--toughness --bounds --mixing exhaustive --component-bound --partition",
+     "0bc9a4c4e896b2a6132621d642d61060818204991da7780a37314fc73a4ba057"),
+    (lambda: emit_edge_list(_relabelled(random_regular(18, 3, 1), 42)),
+     "--toughness --bounds --partition",
+     "d6e642ffb412b1f9686735d9470cf93b9c5debf012a8dd0034170ab261ce3fa3"),
+    (lambda: emit_graph6(kneser(7, 3)) + "\n",
+     "--bounds --mixing sampled --samples 1000 --component-bound",
+     "c4d1c190c402c9931c9913dcd14e03f7a3ab8ffabc0728e7aa03d8c12f4d60e2"),
+], ids=["petersen-all", "rr18-relabelled", "kneser73-sampled"])
+def test_analyze_matches_pinned_digest(capsys, tmp_path, make_input, flags, digest):
+    # Like the verify-corpus digest below: a change to any printed digit,
+    # sign, key or section of the report breaks it.
+    path = tmp_path / "graph"
+    path.write_text(make_input())
+    code, out, _ = run(capsys, "analyze", str(path), *flags.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_verify_corpus_matches_pinned_digest(capsys):

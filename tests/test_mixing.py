@@ -180,6 +180,19 @@ def test_component_count_bound_rejects_nonpositive_lambda(lam):
         component_count_bound(petersen(), lam)
 
 
+@pytest.mark.parametrize("lam", [None, 0.0, -1.0])
+@pytest.mark.parametrize("check", [
+    lambda g, lam: mixing_check(g, VertexSet(g.n, 1), VertexSet(g.n, 2), lam),
+    lambda g, lam: mixing_check_single(g, VertexSet(g.n, 3), lam),
+    exhaustive_mixing_verify,
+    lambda g, lam: sampled_mixing_verify(g, 10, 7, lam),
+], ids=["pair", "single", "exhaustive", "sampled"])
+def test_mixing_checks_reject_nonpositive_lambda(check, lam):
+    # A lambda <= 0 would give a negative bound, so a false violation.
+    with pytest.raises(ValueError, match="lambda must be positive"):
+        check(petersen(), lam)
+
+
 def test_verify_component_bound():
     for g in (petersen(), cycle(6), complete(4)):  # K4 is vacuous: no cut
         assert verify_component_bound(g, lam_of(g))

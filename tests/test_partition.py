@@ -120,7 +120,7 @@ class TestClaim1Hypothesis:
 class TestClaim2Partition:
     def test_case_a(self):
         g, comps = clique_components([1, 3, 3])
-        witness = claim2_partition(comps, graph=g)
+        witness = claim2_partition(g, VertexSet(g.n))
         assert witness.size_x == 4 and witness.size_y == 3
         assert witness.y == comps[-1]
         assert witness.cross_edges == 0
@@ -128,7 +128,7 @@ class TestClaim2Partition:
     def test_case_c_traced(self):
         # trim [2,2,2] to [1,2,2]; target 1 selects the first block
         g, comps = clique_components([2, 2, 2, 3])
-        witness = claim2_partition(comps, graph=g)
+        witness = claim2_partition(g, VertexSet(g.n))
         assert witness.size_x == 5 and witness.size_y == 4
         assert witness.x == comps[0] | comps[3]
         assert witness.cross_edges == 0
@@ -138,24 +138,24 @@ class TestClaim2Partition:
         # largest=4 >= c -> case a.  [1,2,3,3]: largest 3 <= 3, rest sums 6 > 5.
         # smallest case-b instance needs rest <= 2c-3: c=5, sizes [1,1,1,4,4]
         g, comps = clique_components([1, 1, 1, 4, 4])
-        witness = claim2_partition(comps, graph=g)
+        witness = claim2_partition(g, VertexSet(g.n))
         assert witness.size_x >= 5 and witness.size_y >= 5
         assert witness.cross_edges == 0
 
     def test_too_few_vertices(self):
         g, comps = clique_components([1, 1, 1])
         with pytest.raises(PreconditionViolated):
-            claim2_partition(comps, graph=g)
+            claim2_partition(g, VertexSet(g.n))
 
     def test_claim1_failure_refused(self):
         g, comps = clique_components([1, 1, 9])
         with pytest.raises(PreconditionViolated):
-            claim2_partition(comps, graph=g)
+            claim2_partition(g, VertexSet(g.n))
 
     def test_single_component_refused(self):
         g, comps = clique_components([5])
         with pytest.raises(PreconditionViolated):
-            claim2_partition(comps, graph=g)
+            claim2_partition(g, VertexSet(g.n))
 
     @pytest.mark.parametrize("c", range(2, 7))
     def test_exhaustive_small_vectors(self, c):
@@ -166,7 +166,7 @@ class TestClaim2Partition:
             if sizes[-1] >= c and sum(sizes[:-1]) < c:
                 continue  # outside the stated preconditions
             g, comps = clique_components(list(sizes))
-            witness = claim2_partition(comps, graph=g)
+            witness = claim2_partition(g, VertexSet(g.n))
             union = witness.x | witness.y
             everything = VertexSet.full(g.n)
             assert witness.x.isdisjoint(witness.y)
