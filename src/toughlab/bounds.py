@@ -64,10 +64,10 @@ def _rational_dict(frac: Fraction) -> dict:
 
 
 def _check_lambda(lam: float | None) -> float:
-    """Return ``lam``, refusing None and lam <= 0; a graph's lambda is positive
-    exactly when n >= 2 and m > 0."""
-    if lam is None or lam <= 0.0:
-        raise ValueError(f"lambda must be positive (n >= 2 and m > 0), got {lam}")
+    """Return ``lam``, refusing None, NaN, infinity and lam <= 0; a graph's
+    lambda is positive exactly when n >= 2 and m > 0."""
+    if lam is None or not 0.0 < lam < math.inf:
+        raise ValueError(f"lambda must be positive and finite (n >= 2 and m > 0), got {lam}")
     return lam
 
 

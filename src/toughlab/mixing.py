@@ -11,6 +11,11 @@ with the single-set specialization
 
 ``slack`` is bound minus deviation; the lemma says it is never below zero
 (minus the eigenvalue epsilon, since lam itself is computed numerically).
+
+The exhaustive two-set scan (n <= ``EXHAUSTIVE_MAX_N``) never forms the 4^n
+pairs: for a fixed A and |B| the least slack is at the least or the greatest
+e(A,B), so each A costs one sort of its n counts |N(v) & A|, and ties
+resolve to the first (A, B) by mask, A before B.
 """
 
 from __future__ import annotations
@@ -24,10 +29,14 @@ import numpy as np
 from .bounds import _check_lambda
 from .errors import GraphTooLarge
 from .graph import Graph, VertexSet, _require_regular, e_between, e_within
-from .spectra import LAMBDA_EPS, adjacency_matrix
+from .spectra import LAMBDA_EPS
 from .toughness import max_components_over_cuts
 
 EXHAUSTIVE_MAX_N = 10
+# Pairs scored per step of the sampled scan: each uint64 work array is then
+# 64 KiB, under glibc's default 128 KiB mmap threshold, so the scan reuses
+# heap pages instead of faulting in fresh ones for every temporary.
+SAMPLE_CHUNK = 8192
 
 
 @dataclass(frozen=True)
@@ -74,38 +83,55 @@ def mixing_check_single(g: Graph, a: VertexSet, lam: float) -> MixingCheck:
     return MixingCheck(a, a, e_a, expected, bound, bound - abs(e_a - expected))
 
 
-def _slack_matrix(g: Graph, d: int, lam: float) -> np.ndarray:
-    """Slack of every (A, B) pair as a 2^n x 2^n matrix (vectorized scan)."""
-    n = g.n
-    masks = np.arange(1 << n, dtype=np.int64)
-    x = (masks[:, None] >> np.arange(n)) & 1
-    x = x.astype(np.float64)
-    adj = adjacency_matrix(g)
-    e = x @ adj @ x.T
-    sizes = x.sum(axis=1)
-    expected = np.outer(sizes, sizes) * (d / n)
-    root = np.sqrt(sizes * (n - sizes)) / n
-    bound = lam * n * np.outer(root, root)
-    return bound - np.abs(e - expected)
-
-
 def exhaustive_mixing_verify(g: Graph, lam: float) -> MixingCheck:
-    """Scan every (A, B) pair and return the minimum-slack check.
+    """Return the minimum-slack check over every (A, B) pair, in O(2^n n log n).
 
-    The scan itself runs as one vectorized pass; the worst pair is then
-    re-evaluated through ``mixing_check`` so the returned record comes from
-    the same code path as single checks.
+    The scan's slack is ``bound[|A|,|B|] - |e(A,B) - expected[|A|,|B|]|``
+    in floats, with ``expected = (|A||B|) * (d/n)`` and ``bound = (lam*n) *
+    (root(|A|) root(|B|))``, ``root(s) = sqrt(s(n-s))/n``.  The rounded
+    ``e - expected`` is monotone in the integer e, its ``abs`` is largest at
+    one end of any range of e, and ``bound - x`` falls as x grows; so for a
+    fixed A and |B| = b the least slack, to the last bit, is at the least or
+    the greatest e(A, B).  Since e(A, B) = sum over v in B of |N(v) & A|,
+    those are the sums of the b smallest and the b largest of the n counts
+    |N(v) & A|.  The first A (by mask) whose least slack is the global
+    minimum is then scanned over every B, and the first B reaching it is
+    taken: the first minimum in (A, B) mask order, A before B.  The
+    worst pair is re-evaluated through ``mixing_check`` so the returned
+    record comes from the same code path as single checks.
     """
     _check_lambda(lam)
     d = _require_regular(g)
-    if g.n > EXHAUSTIVE_MAX_N:
+    n = g.n
+    if n > EXHAUSTIVE_MAX_N:
         raise GraphTooLarge(
-            f"exhaustive mixing on n={g.n} exceeds the cap {EXHAUSTIVE_MAX_N}"
+            f"exhaustive mixing on n={n} exceeds the cap {EXHAUSTIVE_MAX_N}"
         )
-    slack = _slack_matrix(g, d, lam)
-    flat = int(np.argmin(slack))
-    a_mask, b_mask = divmod(flat, 1 << g.n)
-    return mixing_check(g, VertexSet(g.n, a_mask), VertexSet(g.n, b_mask), lam)
+    s = np.arange(n + 1, dtype=np.float64)
+    expected = np.outer(s, s) * (d / n)
+    root = np.sqrt(s * (n - s)) / n
+    bound = lam * n * np.outer(root, root)
+
+    masks = np.arange(1 << n, dtype=np.int64)
+    sizes = np.bitwise_count(masks)
+    # hits[A, v] = |N(v) & A|; e(A, B) is the sum of hits[A, v] over v in B.
+    hits = np.bitwise_count(masks[:, None] & np.array(g.adj, dtype=np.int64))
+    # least[A, b] / most[A, b]: the sum of the b smallest / largest hits.
+    least = np.zeros((1 << n, n + 1), dtype=np.int64)
+    least[:, 1:] = np.cumsum(np.sort(hits, axis=1), axis=1)
+    most = least[:, -1:] - least[:, ::-1]
+    row_bound, row_expected = bound[sizes], expected[sizes]
+    row_worst = np.minimum(
+        row_bound - np.abs(least - row_expected),
+        row_bound - np.abs(most - row_expected),
+    ).min(axis=1)
+    a_mask = int(np.argmin(row_worst))
+
+    e_row = ((masks[:, None] >> np.arange(n)) & 1) @ hits[a_mask]
+    size_a = sizes[a_mask]
+    slack = bound[size_a, sizes] - np.abs(e_row - expected[size_a, sizes])
+    b_mask = int(np.argmin(slack))
+    return mixing_check(g, VertexSet(n, a_mask), VertexSet(n, b_mask), lam)
 
 
 def _random_masks(rng: random.Random, n: int, count: int) -> np.ndarray:
@@ -131,30 +157,38 @@ def sampled_mixing_verify(g: Graph, samples: int, seed: int, lam: float) -> Mixi
 
     Each set includes every vertex independently with probability 1/2: the
     i-th pair is A = ``getrandbits(n)`` draw 2i and B = draw 2i+1 of
-    ``random.Random(seed)``, so runs are reproducible.
+    ``random.Random(seed)``, so runs are reproducible.  The pairs are scored
+    ``SAMPLE_CHUNK`` at a time, drawn in order from the one stream, and the
+    first pair of least slack is kept, as a single pass would keep it.
     """
     _check_lambda(lam)
     d = _require_regular(g)
     if samples < 1:
         raise ValueError("samples must be at least 1")
     n = g.n
-    draws = _random_masks(random.Random(seed), n, 2 * samples)
-    # Draws alternate A, B; the transposed copy makes each side contiguous.
-    a_masks, b_masks = draws.reshape(samples, 2).T.copy()
-    # e(A,B) = sum over v in B of |N(v) & A|, in exact integers.
-    e = np.zeros(samples, dtype=np.uint64)
-    for v, row in enumerate(np.array(g.adj, dtype=np.uint64)):
-        e += np.bitwise_count(a_masks & row) * ((b_masks >> np.uint64(v)) & np.uint64(1))
-    e = e.astype(np.float64)
-    sa = np.bitwise_count(a_masks).astype(np.float64)
-    sb = np.bitwise_count(b_masks).astype(np.float64)
-    expected = sa * sb * (d / n)
-    bound = lam * np.sqrt(sa * sb * (1.0 - sa / n) * (1.0 - sb / n))
-    slack = bound - np.abs(e - expected)
-    worst_i = int(np.argmin(slack))
-    return mixing_check(
-        g, VertexSet(n, int(a_masks[worst_i])), VertexSet(n, int(b_masks[worst_i])), lam
-    )
+    rng = random.Random(seed)
+    adj = np.array(g.adj, dtype=np.uint64)
+    worst = None
+    for start in range(0, samples, SAMPLE_CHUNK):
+        count = min(SAMPLE_CHUNK, samples - start)
+        # Draws alternate A, B; the transposed copy makes each side contiguous.
+        a_masks, b_masks = _random_masks(rng, n, 2 * count).reshape(count, 2).T.copy()
+        # e(A,B) = sum over v in B of |N(v) & A|, in exact integers.
+        e = np.zeros(count, dtype=np.uint64)
+        for v, row in enumerate(adj):
+            e += np.bitwise_count(a_masks & row) * ((b_masks >> np.uint64(v)) & np.uint64(1))
+        e = e.astype(np.float64)
+        sa = np.bitwise_count(a_masks).astype(np.float64)
+        sb = np.bitwise_count(b_masks).astype(np.float64)
+        expected = sa * sb * (d / n)
+        bound = lam * np.sqrt(sa * sb * (1.0 - sa / n) * (1.0 - sb / n))
+        slack = bound - np.abs(e - expected)
+        i = int(np.argmin(slack))
+        # A finite lam makes every slack finite, so no NaN can hide a minimum.
+        if worst is None or slack[i] < worst[0]:
+            worst = (slack[i], int(a_masks[i]), int(b_masks[i]))
+    _, a_mask, b_mask = worst
+    return mixing_check(g, VertexSet(n, a_mask), VertexSet(n, b_mask), lam)
 
 
 def component_count_bound(g: Graph, lam: float) -> float:

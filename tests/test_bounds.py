@@ -44,7 +44,7 @@ def test_theorem_bound_values():
 
 def test_nonpositive_lambda_rejected():
     for fn in (alon_bound, brouwer_bound, gu_bound, theorem_bound):
-        for lam in (None, 0.0, -1.0):
+        for lam in (None, 0.0, -1.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="lambda must be positive"):
                 fn(3, lam)
 

@@ -1,7 +1,10 @@
 import math
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from toughlab import (
     VertexSet,
@@ -27,7 +30,9 @@ from toughlab.families import (
     random_regular,
 )
 from toughlab.graph import from_edge_list
-from toughlab.mixing import _random_masks
+from toughlab import mixing
+from toughlab.mixing import EXHAUSTIVE_MAX_N, _random_masks
+from toughlab.spectra import adjacency_matrix
 from toughlab.toughness import COMPONENT_BOUND_MAX_N
 
 from conftest import independent_sets_of_size
@@ -116,6 +121,68 @@ def test_exhaustive_worst_is_equality_on_petersen():
     assert worst.slack == pytest.approx(0.0, abs=1e-9)
 
 
+def _dense_worst_pair(g, lam):
+    """Reference scan: the slack of every (A, B) as a 2^n x 2^n matrix, and
+    the (A, B) masks of its first minimum in row-major order."""
+    n, d = g.n, g.degree(0)
+    masks = np.arange(1 << n, dtype=np.int64)
+    x = ((masks[:, None] >> np.arange(n)) & 1).astype(np.float64)
+    adj = adjacency_matrix(g)
+    e = x @ adj @ x.T
+    sizes = x.sum(axis=1)
+    expected = np.outer(sizes, sizes) * (d / n)
+    root = np.sqrt(sizes * (n - sizes)) / n
+    bound = lam * n * np.outer(root, root)
+    return divmod(int(np.argmin(bound - np.abs(e - expected))), 1 << n)
+
+
+def _assert_same_worst_pair(g, lam):
+    worst = exhaustive_mixing_verify(g, lam)
+    assert (worst.a.bits, worst.b.bits) == _dense_worst_pair(g, lam)
+
+
+EXHAUSTIVE_GRAPHS = {
+    spec.label().replace(" ", "_"): g
+    for spec, g in ((spec, build(spec)) for spec in default_corpus())
+    if g.n <= EXHAUSTIVE_MAX_N
+}
+
+
+@pytest.mark.parametrize("g", EXHAUSTIVE_GRAPHS.values(), ids=EXHAUSTIVE_GRAPHS.keys())
+def test_exhaustive_matches_dense_reference(g):
+    # Scaled lambdas move the worst pair off the trivial empty pair.
+    lam = lam_of(g)
+    for scale in (1.0, 0.5, 0.9, 1.3):
+        _assert_same_worst_pair(g, lam * scale)
+
+
+@st.composite
+def _regular_graphs(draw):
+    # The pairing model rarely yields a simple graph for d >= 5 at these n.
+    n = draw(st.integers(3, EXHAUSTIVE_MAX_N))
+    d = draw(st.sampled_from([d for d in range(2, min(n, 5)) if n * d % 2 == 0]))
+    return random_regular(n, d, draw(st.integers(0, 2**16)))
+
+
+@settings(deadline=None)
+@given(_regular_graphs(), st.floats(0.3, 1.5))
+def test_exhaustive_matches_dense_reference_on_random_graphs(g, scale):
+    _assert_same_worst_pair(g, lam_of(g) * scale)
+
+
+def test_exhaustive_memory_stays_small():
+    # The dense 2^n x 2^n scan peaked at 40 MiB on a 10-vertex graph.
+    p = petersen()
+    lam = lam_of(p)
+    tracemalloc.start()
+    try:
+        exhaustive_mixing_verify(p, lam)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+
+
 def test_exhaustive_cap():
     with pytest.raises(GraphTooLarge):
         exhaustive_mixing_verify(cycle(12), lam_of(cycle(12)))
@@ -161,6 +228,18 @@ def test_sampled_verify_matches_loop(g):
     assert sampled_mixing_verify(g, 300, 7, lam) == _sampled_reference(g, 300, 7, lam)
 
 
+@pytest.mark.parametrize("chunk", [1, 7, 64])
+@pytest.mark.parametrize("g", [cycle(5), petersen(), kneser(7, 3)],
+                         ids=["cycle5", "petersen", "kneser7_3"])
+def test_sampled_verify_same_for_every_chunk_size(g, chunk, monkeypatch):
+    # cycle 5 has 1024 pairs, so 1000 draws repeat its worst pair across chunks.
+    lam = lam_of(g)
+    assert mixing.SAMPLE_CHUNK >= 1000
+    one_pass = sampled_mixing_verify(g, 1000, 3, lam)
+    monkeypatch.setattr(mixing, "SAMPLE_CHUNK", chunk)
+    assert sampled_mixing_verify(g, 1000, 3, lam) == one_pass
+
+
 def test_sampled_verify_hypercube6():
     # n = 64: the masks fill every bit of a 64-bit word.
     g = hypercube(6)
@@ -174,13 +253,13 @@ def test_component_count_bound_values():
         assert component_count_bound(g, lam_of(g)) == pytest.approx(value, abs=1e-8)
 
 
-@pytest.mark.parametrize("lam", [None, 0.0, -1.0])
+@pytest.mark.parametrize("lam", [None, 0.0, -1.0, math.nan, math.inf])
 def test_component_count_bound_rejects_nonpositive_lambda(lam):
     with pytest.raises(ValueError, match="lambda must be positive"):
         component_count_bound(petersen(), lam)
 
 
-@pytest.mark.parametrize("lam", [None, 0.0, -1.0])
+@pytest.mark.parametrize("lam", [None, 0.0, -1.0, math.nan, math.inf])
 @pytest.mark.parametrize("check", [
     lambda g, lam: mixing_check(g, VertexSet(g.n, 1), VertexSet(g.n, 2), lam),
     lambda g, lam: mixing_check_single(g, VertexSet(g.n, 3), lam),
@@ -188,7 +267,8 @@ def test_component_count_bound_rejects_nonpositive_lambda(lam):
     lambda g, lam: sampled_mixing_verify(g, 10, 7, lam),
 ], ids=["pair", "single", "exhaustive", "sampled"])
 def test_mixing_checks_reject_nonpositive_lambda(check, lam):
-    # A lambda <= 0 would give a negative bound, so a false violation.
+    # A lambda <= 0 would give a negative bound, so a false violation; a NaN
+    # or infinite one would give NaN slacks, which no minimum search orders.
     with pytest.raises(ValueError, match="lambda must be positive"):
         check(petersen(), lam)
 
