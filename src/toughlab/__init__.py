@@ -16,7 +16,6 @@ from .graph import (
     VertexSet,
     components,
     e_between,
-    e_within,
     emit_edge_list,
     emit_graph6,
     from_edge_list,
@@ -30,13 +29,11 @@ from .mixing import (
     component_count_bound,
     exhaustive_mixing_verify,
     mixing_check,
-    mixing_check_single,
     sampled_mixing_verify,
     verify_component_bound,
 )
 from .partition import (
     PartitionWitness,
-    check_claim1_hypothesis,
     claim2_partition,
     index_subset,
 )
@@ -44,7 +41,6 @@ from .spectra import SpectralProfile, spectrum
 from .toughness import (
     ToughnessResult,
     exact_toughness,
-    is_k_tough,
     max_components_over_cuts,
     naive_toughness,
     toughness_of_cut,

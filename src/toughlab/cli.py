@@ -20,6 +20,7 @@ from .errors import MalformedGraph6, ToughlabError
 from .graph import (
     Graph,
     NotRegular,
+    _require_connected,
     emit_edge_list,
     emit_graph6,
     is_connected,
@@ -52,22 +53,6 @@ DEFAULT_SAMPLES = 100_000
 # 16.7M pairs at n > 32 it raised OverflowError.
 MAX_SAMPLES = 10_000_000
 DEFAULT_SEED = 42
-
-MAX_N_ENV = "TOUGHLAB_MAX_N"
-
-
-def toughness_search_cap() -> int:
-    """Exact-toughness size cap: ``TOUGHLAB_MAX_N`` if set, else the library default."""
-    raw = os.environ.get(MAX_N_ENV)
-    if raw is None:
-        return DEFAULT_MAX_N
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ToughlabError(f"{MAX_N_ENV}={raw!r} is not an integer") from None
-    if cap < 1:
-        raise ToughlabError(f"{MAX_N_ENV}={cap} is below 1")
-    return cap
 
 
 def _sample_count(text: str) -> int:
@@ -195,7 +180,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     g = _read_graph(args.input)
     cap = None
     if args.toughness:
-        cap = g.n if args.force else toughness_search_cap()
+        cap = g.n if args.force else DEFAULT_MAX_N
     report, violation = _check_graph(
         g, toughness_cap=cap, bounds=args.bounds, mixing=args.mixing,
         component_bound=args.component_bound, partition=args.partition,
@@ -209,9 +194,13 @@ def cmd_verify_corpus(args: argparse.Namespace) -> int:
         specs = families.load_manifest(Path(args.manifest).read_text())
     else:
         specs = families.default_corpus()
-    cap = toughness_search_cap()
-    # Every graph is built before the header, so a bad spec prints nothing.
+    # Every graph is built and vetted before the header, so a bad line prints nothing.
     graphs = [families.build(spec) for spec in specs]
+    for spec, g in zip(specs, graphs):
+        where = f"{spec.label()!r}: verify-corpus"
+        if g.n < 2:
+            raise ToughlabError(f"{where} needs n >= 2, got {g.n}")
+        _require_connected(g, where)
     header = (
         f"{'graph':<28}{'n':>4}{'d':>4}{'lambda':>10}{'theorem':>10}"
         f"{'exact_t':>10}{'slack':>10}{'mix_slack':>11}{'comp_ok':>9}"
@@ -221,7 +210,8 @@ def cmd_verify_corpus(args: argparse.Namespace) -> int:
     violations = 0
     for spec, g in zip(specs, graphs):
         report, bad = _check_graph(
-            g, toughness_cap=cap if g.n <= cap else None, bounds=True,
+            g, toughness_cap=DEFAULT_MAX_N if g.n <= DEFAULT_MAX_N else None,
+            bounds=True,
             mixing="exhaustive" if g.n <= EXHAUSTIVE_MAX_N else "sampled",
             component_bound=True, partition=False,
             samples=args.samples, seed=args.seed)
@@ -265,8 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--component-bound", action="store_true")
     analyze.add_argument("--partition", action="store_true")
     analyze.add_argument("--force", action="store_true",
-                         help="lift the exact-toughness size cap "
-                         f"({MAX_N_ENV}, default {DEFAULT_MAX_N})")
+                         help=f"lift the exact-toughness size cap ({DEFAULT_MAX_N})")
     analyze.set_defaults(func=cmd_analyze)
 
     verify = sub.add_parser("verify-corpus", help="verify bounds on a corpus")

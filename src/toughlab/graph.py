@@ -125,9 +125,6 @@ class Graph:
             if self.adj[u] >> v & 1
         ]
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adj[u] >> v & 1)
-
     @cached_property
     def _half_tables(self) -> tuple[int, int, list[int], list[int]]:
         """``(w, low, lo, hi)`` for the split of 0..n-1 at w = ceil(n/2).
@@ -256,11 +253,6 @@ def e_between(g: Graph, a: VertexSet, b: VertexSet) -> int:
         total += (g.adj[low.bit_length() - 1] & b.bits).bit_count()
         bits ^= low
     return total
-
-
-def e_within(g: Graph, a: VertexSet) -> int:
-    """Number of edges with both ends in ``a``."""
-    return e_between(g, a, a) // 2
 
 
 def regularity(g: Graph) -> int | NotRegular:

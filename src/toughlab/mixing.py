@@ -5,9 +5,10 @@ lam, every pair of vertex subsets A, B satisfies
 
     |e(A,B) - d|A||B|/n|  <=  lam * sqrt(|A||B| (1-|A|/n)(1-|B|/n))
 
-with the single-set specialization
-
-    |e(A) - d|A|^2/(2n)|  <=  (lam/2) |A| (1-|A|/n).
+where e(A,B) counts the edge incidences from A to B.  The single-set form,
+on the number e(A) of edges inside A, is ``mixing_check(g, a, a, lam)``:
+e(A,A) = 2e(A), so its e_ab, expected, bound and slack are each twice those
+of |e(A) - d|A|^2/(2n)| <= (lam/2) |A| (1-|A|/n).
 
 ``slack`` is bound minus deviation; the lemma says it is never below zero
 (minus the eigenvalue epsilon, since lam itself is computed numerically).
@@ -28,7 +29,7 @@ import numpy as np
 
 from .bounds import _check_lambda
 from .errors import GraphTooLarge
-from .graph import Graph, VertexSet, _require_regular, e_between, e_within
+from .graph import Graph, VertexSet, _require_regular, e_between
 from .spectra import LAMBDA_EPS
 from .toughness import max_components_over_cuts
 
@@ -70,17 +71,6 @@ def mixing_check(g: Graph, a: VertexSet, b: VertexSet, lam: float) -> MixingChec
     bound = lam * math.sqrt(ka * kb * (1.0 - ka / n) * (1.0 - kb / n))
     slack = bound - abs(e_ab - expected)
     return MixingCheck(a, b, e_ab, expected, bound, slack)
-
-
-def mixing_check_single(g: Graph, a: VertexSet, lam: float) -> MixingCheck:
-    """Single-set mixing inequality on e(A) (edges inside A)."""
-    _check_lambda(lam)
-    d = _require_regular(g)
-    n, ka = g.n, len(a)
-    e_a = e_within(g, a)
-    expected = d * ka * ka / (2.0 * n)
-    bound = (lam / 2.0) * ka * (1.0 - ka / n)
-    return MixingCheck(a, a, e_a, expected, bound, bound - abs(e_a - expected))
 
 
 def exhaustive_mixing_verify(g: Graph, lam: float) -> MixingCheck:

@@ -70,21 +70,9 @@ def index_subset(sizes: Sequence[int], ell: int) -> frozenset[int]:
     return result
 
 
-def check_claim1_hypothesis(comps: Sequence[VertexSet]) -> bool:
-    """Do the components below the largest carry at least c vertices in total?
-
-    This is the condition the two-block partition needs in its first case; on
-    arbitrary graphs it can fail, in which case the partition refuses.
-    """
-    if not comps:
-        raise PreconditionViolated("component list must be nonempty")
-    c = len(comps)
-    return sum(len(v) for v in comps[:-1]) >= c
-
-
 def _trim_sizes(sizes: list[int], budget: int) -> list[int]:
-    # Decrement the currently largest entry (ties to the lowest index) until
-    # the total matches the budget; every entry stays >= 1.
+    # Decrement the currently largest entry (ties to the lowest index) while
+    # the total exceeds the budget; every entry stays >= 1.
     trimmed = list(sizes)
     total = sum(trimmed)
     while total > budget:
@@ -112,7 +100,8 @@ def claim2_partition(graph: Graph, cut: VertexSet) -> PartitionWitness:
     n = graph.n
     largest = sizes[-1]
     if largest >= c:
-        if not check_claim1_hypothesis(comps):
+        # The components below the largest need c vertices; any graph may miss it.
+        if sum(sizes[:-1]) < c:
             raise PreconditionViolated(
                 f"components below the largest total {sum(sizes[:-1])} < c={c}"
             )
@@ -123,13 +112,8 @@ def claim2_partition(graph: Graph, cut: VertexSet) -> PartitionWitness:
     else:
         # largest <= c-1; total >= 2c+1 then forces largest >= 3.
         ell = c - largest
-        rest = sizes[:-1]
-        if sum(rest) <= 2 * c - 3:
-            idx = index_subset(rest, ell)
-        else:
-            trimmed = _trim_sizes(rest, 2 * c - 3)
-            idx = index_subset(trimmed, ell)
-            assert 2 * c - 3 - ell >= c
+        idx = index_subset(_trim_sizes(sizes[:-1], 2 * c - 3), ell)
+        assert 2 * c - 3 - ell >= c
         x = comps[-1]
         y = VertexSet(n)
         for i, v in enumerate(comps[:-1]):

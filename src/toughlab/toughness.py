@@ -121,9 +121,3 @@ def toughness_of_cut(g: Graph, s: VertexSet) -> Fraction | None:
     if c <= 1:
         return None
     return Fraction(len(s), c)
-
-
-def is_k_tough(g: Graph, k: Fraction, max_n: int = DEFAULT_MAX_N) -> bool:
-    """True iff every disconnecting S has |S| >= k * c(G-S), i.e. t(G) >= k."""
-    result = exact_toughness(g, max_n)
-    return result is None or result.t >= k

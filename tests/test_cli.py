@@ -4,13 +4,15 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from toughlab.cli import main
 from toughlab.families import kneser, petersen, random_regular
-from toughlab.graph import emit_edge_list, emit_graph6, from_edge_list
+from toughlab.graph import VertexSet, emit_edge_list, emit_graph6, from_edge_list
+from toughlab.toughness import toughness_of_cut
 
 
 @pytest.fixture
@@ -147,13 +149,6 @@ class TestAnalyze:
         assert code == 2 and out == ""
         assert "2 graph6 lines" in err
 
-    @pytest.mark.parametrize("raw", ["abc", "-3", "0"])
-    def test_invalid_cap_env_exit_2(self, capsys, petersen_file, monkeypatch, raw):
-        monkeypatch.setenv("TOUGHLAB_MAX_N", raw)
-        code, out, err = run(capsys, "analyze", petersen_file, "--toughness")
-        assert code == 2 and out == ""
-        assert "TOUGHLAB_MAX_N" in err
-
     @pytest.mark.parametrize("edges, flags", [
         ("1 0", ["--bounds"]),
         ("1 0", ["--mixing", "sampled"]),
@@ -177,16 +172,22 @@ class TestAnalyze:
         assert code == 2 and out == ""
         assert err == "error: --partition requires --toughness\n"
 
-    def test_toughness_cap_exit_2(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("TOUGHLAB_MAX_N", "5")
-        from toughlab.families import cycle
-        path = tmp_path / "c8.g6"
-        path.write_text(emit_graph6(cycle(8)) + "\n")
-        code, _, _ = run(capsys, "analyze", str(path), "--toughness")
-        assert code == 2
+    def test_toughness_cap_exit_2(self, capsys, tmp_path):
+        # The star K_1,24 has n = 25, one above the cap; --force runs the
+        # exact search on it, through the per-vertex BFS counter.
+        star = from_edge_list(25, [(0, v) for v in range(1, 25)])
+        path = tmp_path / "star.txt"
+        path.write_text(emit_edge_list(star))
+        code, out, err = run(capsys, "analyze", str(path), "--toughness")
+        assert code == 2 and out == ""
+        assert "exceeds the cap 24" in err
         code, out, _ = run(capsys, "analyze", str(path), "--toughness", "--force")
         assert code == 0
-        assert json.loads(out)["toughness"]["t"] == {"num": 1, "den": 1}
+        tough = json.loads(out)["toughness"]
+        assert tough["t"] == {"num": 1, "den": 24}
+        assert tough["witness"] == [0] and tough["components"] == 24
+        witness = VertexSet.of(25, tough["witness"])
+        assert toughness_of_cut(star, witness) == Fraction(1, 24)
 
 
 class TestVerifyCorpus:
@@ -206,23 +207,29 @@ class TestVerifyCorpus:
         assert code == 0
         assert "0 graphs checked" in out
 
-    def test_toughness_cap_leaves_exact_t_blank(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("TOUGHLAB_MAX_N", "5")
+    def test_toughness_cap_leaves_exact_t_blank(self, capsys, tmp_path):
+        # The cap is 24: C_25 gets no exact t.
         manifest = tmp_path / "m.txt"
-        manifest.write_text("cycle 5\npetersen\n")
+        manifest.write_text("cycle 5\ncycle 25\n")
         code, out, _ = run(capsys, "verify-corpus", str(manifest), "--samples", "100")
         assert code == 0
         rows = {line.rsplit(None, 8)[0]: line.split()[-4]
                 for line in out.splitlines()[2:4]}
-        assert rows == {"cycle 5": "1", "petersen": "-"}
+        assert rows == {"cycle 5": "1", "cycle 25": "-"}
 
-    def test_invalid_cap_env_exit_2(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("TOUGHLAB_MAX_N", "abc")
+    @pytest.mark.parametrize("bad, message", [
+        ("circulant 8 4", "connected graphs only"),
+        ("complete 1", "needs n >= 2"),
+    ], ids=["disconnected", "one-vertex"])
+    def test_refused_graph_after_good_line_prints_nothing(self, capsys, tmp_path,
+                                                          bad, message):
+        # C_8(4) is a perfect matching and K_1 has no lambda: both build, but
+        # the checks refuse them, so the run stops before the header.
         manifest = tmp_path / "m.txt"
-        manifest.write_text("cycle 5\n")
-        code, out, err = run(capsys, "verify-corpus", str(manifest))
+        manifest.write_text(f"cycle 5\n{bad}\n")
+        code, out, err = run(capsys, "verify-corpus", str(manifest), "--samples", "100")
         assert code == 2 and out == ""
-        assert "TOUGHLAB_MAX_N" in err
+        assert f"'{bad}'" in err and message in err
 
     def test_bad_manifest_line(self, capsys, tmp_path):
         manifest = tmp_path / "bad.txt"

@@ -12,7 +12,6 @@ from toughlab import (
     exhaustive_mixing_verify,
     max_components_over_cuts,
     mixing_check,
-    mixing_check_single,
     sampled_mixing_verify,
     spectrum,
     verify_component_bound,
@@ -51,6 +50,8 @@ def petersen_independent_set():
 
 
 def test_mixing_equality_on_petersen_independent_set(petersen_independent_set):
+    # The single-set form at A = B: each figure is twice |e(A) - d|A|^2/(2n)|
+    # <= (lam/2)|A|(1 - |A|/n), whose expected and bound are both 2.4 here.
     p, a = petersen_independent_set
     check = mixing_check(p, a, a, lam_of(p))
     assert check.e_ab == 0
@@ -82,31 +83,13 @@ def test_mixing_rejects_irregular():
         mixing_check(path3, VertexSet(3), VertexSet(3), lam_of(path3))
 
 
-def test_single_set_petersen(petersen_independent_set):
-    p, a = petersen_independent_set
-    check = mixing_check_single(p, a, lam_of(p))
-    assert check.e_ab == 0
-    assert check.expected == pytest.approx(2.4, abs=1e-9)
-    assert check.bound == pytest.approx(2.4, abs=1e-9)
-    assert check.slack == pytest.approx(0.0, abs=1e-9)
-
-
 def test_single_set_cycle6():
+    # A path of three vertices: 2 inner edges, each counted twice by e(A, A).
     a = VertexSet.of(6, [0, 1, 2])
-    check = mixing_check_single(cycle(6), a, lam_of(cycle(6)))
-    assert check.e_ab == 2
-    assert abs(check.e_ab - check.expected) == pytest.approx(0.5, abs=1e-9)
-    assert check.bound == pytest.approx(1.5, abs=1e-9)
-
-
-def test_single_is_half_of_pair_slack():
-    p = petersen()
-    lam = lam_of(p)
-    for bits in (0, 0b1010101010, 0b11111, 0b1111111111):
-        a = VertexSet(10, bits)
-        single = mixing_check_single(p, a, lam)
-        pair = mixing_check(p, a, a, lam)
-        assert single.slack == pytest.approx(pair.slack / 2, abs=1e-9)
+    check = mixing_check(cycle(6), a, a, lam_of(cycle(6)))
+    assert check.e_ab == 4
+    assert abs(check.e_ab - check.expected) == pytest.approx(1.0, abs=1e-9)
+    assert check.bound == pytest.approx(3.0, abs=1e-9)
 
 
 @pytest.mark.parametrize("g", [petersen(), complete(4), cycle(4), hypercube(3)])
@@ -262,7 +245,7 @@ def test_component_count_bound_rejects_nonpositive_lambda(lam):
 @pytest.mark.parametrize("lam", [None, 0.0, -1.0, math.nan, math.inf])
 @pytest.mark.parametrize("check", [
     lambda g, lam: mixing_check(g, VertexSet(g.n, 1), VertexSet(g.n, 2), lam),
-    lambda g, lam: mixing_check_single(g, VertexSet(g.n, 3), lam),
+    lambda g, lam: mixing_check(g, VertexSet(g.n, 3), VertexSet(g.n, 3), lam),
     exhaustive_mixing_verify,
     lambda g, lam: sampled_mixing_verify(g, 10, 7, lam),
 ], ids=["pair", "single", "exhaustive", "sampled"])

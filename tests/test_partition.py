@@ -3,7 +3,6 @@ from itertools import combinations
 import pytest
 
 from toughlab import (
-    check_claim1_hypothesis,
     claim2_partition,
     components,
     e_between,
@@ -101,20 +100,6 @@ class TestIndexSubset:
         ]
         assert infeasible
         assert ((2,) * c, 1) in infeasible
-
-
-class TestClaim1Hypothesis:
-    def test_examples(self):
-        def comps_of(sizes):
-            return clique_components(sizes)[1]
-
-        assert check_claim1_hypothesis(comps_of([1, 3, 3]))
-        assert not check_claim1_hypothesis(comps_of([1, 1, 9]))
-        assert not check_claim1_hypothesis(comps_of([1, 1]))
-
-    def test_empty_rejected(self):
-        with pytest.raises(PreconditionViolated):
-            check_claim1_hypothesis([])
 
 
 class TestClaim2Partition:

@@ -1,4 +1,3 @@
-import json
 from fractions import Fraction
 
 import pytest
@@ -6,16 +5,13 @@ import pytest
 from toughlab import (
     VertexSet,
     exact_toughness,
-    is_k_tough,
     naive_toughness,
     toughness_of_cut,
 )
-from toughlab.cli import main, toughness_search_cap
 from toughlab.errors import (
     DisconnectedGraph,
     GraphTooLarge,
     SNotProper,
-    ToughlabError,
 )
 from toughlab.families import (
     build,
@@ -27,7 +23,7 @@ from toughlab.families import (
     petersen,
     random_regular,
 )
-from toughlab.graph import emit_graph6, from_edge_list
+from toughlab.graph import from_edge_list
 
 
 def test_complete_graph_undefined():
@@ -68,31 +64,6 @@ def test_size_cap():
         exact_toughness(cycle(12), max_n=10)
 
 
-def test_size_cap_env_override(monkeypatch, capsys, tmp_path):
-    # The library takes its cap as max_n; only the CLI reads the variable.
-    path = tmp_path / "c12.g6"
-    path.write_text(emit_graph6(cycle(12)) + "\n")
-    monkeypatch.setenv("TOUGHLAB_MAX_N", "10")
-    assert main(["analyze", str(path), "--toughness"]) == 2
-    out, err = capsys.readouterr()
-    assert out == "" and "exceeds the cap 10" in err
-    monkeypatch.setenv("TOUGHLAB_MAX_N", "12")
-    assert main(["analyze", str(path), "--toughness"]) == 0
-    assert json.loads(capsys.readouterr().out)["toughness"]["t"] == {"num": 1, "den": 1}
-
-
-def test_library_cap_ignores_env(monkeypatch):
-    monkeypatch.setenv("TOUGHLAB_MAX_N", "5")
-    assert exact_toughness(cycle(8)).t == Fraction(1)
-
-
-@pytest.mark.parametrize("raw", ["abc", "1.5", "", "-3", "0"])
-def test_size_cap_env_rejects_non_positive_integers(monkeypatch, raw):
-    monkeypatch.setenv("TOUGHLAB_MAX_N", raw)
-    with pytest.raises(ToughlabError, match="TOUGHLAB_MAX_N"):
-        toughness_search_cap()
-
-
 @pytest.mark.parametrize(
     "spec, t, witness, comps",
     [
@@ -119,14 +90,6 @@ def test_toughness_of_cut_examples():
         toughness_of_cut(cycle(6), VertexSet.full(6))
 
 
-def test_is_k_tough():
-    p = petersen()
-    assert is_k_tough(p, Fraction(1))
-    assert is_k_tough(p, Fraction(4, 3))
-    assert not is_k_tough(p, Fraction(3, 2))
-    assert is_k_tough(complete(4), Fraction(100))
-
-
 @pytest.mark.parametrize(
     "g",
     [cycle(5), cycle(8), petersen(), complete_bipartite(4, 4), hypercube(3),
@@ -140,18 +103,6 @@ def test_pruned_matches_naive_oracle(g):
     # both witnesses attain the value
     assert toughness_of_cut(g, pruned.witness) == pruned.t
     assert toughness_of_cut(g, naive.witness) == pruned.t
-
-
-@pytest.mark.parametrize(
-    "g",
-    [cycle(6), petersen(), hypercube(3), random_regular(10, 3, 7),
-     build(parse_family_spec("circulant 12 1 5"))],
-)
-def test_monotone_consistency(g):
-    t = exact_toughness(g).t
-    for k in [Fraction(1, 3), Fraction(1), Fraction(4, 3), Fraction(3, 2),
-              Fraction(2), t]:
-        assert is_k_tough(g, k) == (k <= t)
 
 
 def test_witness_determinism():
