@@ -50,8 +50,6 @@ def petersen_independent_set():
 
 
 def test_mixing_equality_on_petersen_independent_set(petersen_independent_set):
-    # The single-set form at A = B: each figure is twice |e(A) - d|A|^2/(2n)|
-    # <= (lam/2)|A|(1 - |A|/n), whose expected and bound are both 2.4 here.
     p, a = petersen_independent_set
     check = mixing_check(p, a, a, lam_of(p))
     assert check.e_ab == 0
@@ -81,6 +79,17 @@ def test_mixing_rejects_irregular():
     path3 = from_edge_list(3, [(0, 1), (1, 2)])
     with pytest.raises(NotRegularGraph):
         mixing_check(path3, VertexSet(3), VertexSet(3), lam_of(path3))
+
+
+def test_single_set_petersen(petersen_independent_set):
+    # The single-set form |e(A) - d|A|^2/(2n)| <= (lam/2)|A|(1 - |A|/n) is
+    # mixing_check at A = B with every figure halved: both sides are 2.4 here.
+    p, a = petersen_independent_set
+    check = mixing_check(p, a, a, lam_of(p))
+    assert check.e_ab // 2 == 0
+    assert check.expected / 2 == pytest.approx(2.4, abs=1e-9)
+    assert check.bound / 2 == pytest.approx(2.4, abs=1e-9)
+    assert check.slack / 2 == pytest.approx(0.0, abs=1e-9)
 
 
 def test_single_set_cycle6():
