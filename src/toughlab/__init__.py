@@ -12,7 +12,6 @@ from .bounds import (
 from .errors import ToughlabError
 from .graph import (
     Graph,
-    NotRegular,
     VertexSet,
     components,
     e_between,

@@ -19,7 +19,6 @@ from .bounds import _check_lambda, _rational_dict, verify_theorem
 from .errors import MalformedGraph6, ToughlabError
 from .graph import (
     Graph,
-    NotRegular,
     _require_connected,
     emit_edge_list,
     emit_graph6,
@@ -104,13 +103,12 @@ def _check_graph(g: Graph, *, toughness_cap: int | None, bounds: bool,
     ``mixing`` is None, ``"exhaustive"`` or ``"sampled"``.  Sections not asked
     for stay None.
     """
-    d = regularity(g)
     report: dict = {
         "schema": REPORT_SCHEMA,
         "graph_meta": {
             "n": g.n,
             "m": g.m,
-            "d": None if isinstance(d, NotRegular) else d,
+            "d": regularity(g),
             "connected": is_connected(g),
         },
         "spectral": None,
@@ -137,7 +135,7 @@ def _check_graph(g: Graph, *, toughness_cap: int | None, bounds: bool,
         else:
             report["toughness"] = {
                 "t": _rational_dict(tough.t),
-                "witness": list(tough.witness.members()),
+                "witness": list(tough.witness),
                 "components": tough.components,
             }
     violation = False

@@ -1,7 +1,12 @@
-"""Deterministic generators for the verification corpus."""
+"""Deterministic generators for the verification corpus.
+
+A family spec such as ``circulant 8 1 2`` is a key of ``FAMILIES``, spelled
+out because spec names are a file format, followed by the generator's integer
+arguments; adding a family means adding a generator and a ``FAMILIES`` row."""
 
 from __future__ import annotations
 
+import inspect
 import math
 import random
 from dataclasses import dataclass
@@ -73,16 +78,16 @@ def petersen() -> Graph:
     return kneser(5, 2)
 
 
-def circulant(n: int, connections: list[int]) -> Graph:
+def circulant(n: int, *offsets: int) -> Graph:
     if n < 3:
         raise InvalidParams(f"circulant needs n >= 3, got {n}")
     _require_vertex_count(n)
-    offsets = sorted(set(connections))
-    if not offsets:
-        raise InvalidParams("circulant needs at least one offset")
-    if any(not 1 <= s <= n // 2 for s in offsets):
-        raise InvalidParams(f"offsets {offsets} outside 1..{n // 2} for n={n}")
-    edges = [(i, (i + s) % n) for s in offsets for i in range(n)]
+    steps = sorted(set(offsets))
+    if not steps:
+        raise InvalidParams(f"circulant {n} needs at least one offset")
+    if any(not 1 <= s <= n // 2 for s in steps):
+        raise InvalidParams(f"offsets {steps} outside 1..{n // 2} for n={n}")
+    edges = [(i, (i + s) % n) for s in steps for i in range(n)]
     return from_edge_list(n, edges)
 
 
@@ -102,22 +107,15 @@ def random_regular(n: int, d: int, seed: int) -> Graph:
         stubs = [v for v in range(n) for _ in range(d)]
         rng.shuffle(stubs)
         edges = set()
-        ok = True
-        for i in range(0, len(stubs), 2):
-            u, v = stubs[i], stubs[i + 1]
-            if u == v:
-                ok = False
-                break
+        for u, v in zip(stubs[::2], stubs[1::2]):
             edge = (u, v) if u < v else (v, u)
-            if edge in edges:
-                ok = False
+            if u == v or edge in edges:
                 break
             edges.add(edge)
-        if not ok:
-            continue
-        g = from_edge_list(n, sorted(edges))
-        if is_connected(g):
-            return g
+        else:
+            g = from_edge_list(n, sorted(edges))
+            if is_connected(g):
+                return g
     raise RetriesExhausted(
         f"no valid ({n},{d})-regular graph in {RANDOM_REGULAR_MAX_ATTEMPTS} attempts"
     )
@@ -148,37 +146,27 @@ def parse_family_spec(line: str) -> FamilySpec:
     return FamilySpec(family, params)
 
 
+FAMILIES = {
+    "cycle": cycle,
+    "complete": complete,
+    "complete_bipartite": complete_bipartite,
+    "hypercube": hypercube,
+    "kneser": kneser,
+    "petersen": petersen,
+    "circulant": circulant,
+    "random_regular": random_regular,
+}
+
+
 def build(spec: FamilySpec) -> Graph:
-    family, params = spec.family, spec.params
-
-    def arity(k: int) -> tuple[int, ...]:
-        if len(params) != k:
-            raise InvalidParams(f"{family} takes {k} parameter(s), got {len(params)}")
-        return params
-
-    if family == "cycle":
-        return cycle(*arity(1))
-    if family == "complete":
-        return complete(*arity(1))
-    if family == "complete_bipartite":
-        a, b = arity(2)
-        return complete_bipartite(a, b)
-    if family == "hypercube":
-        return hypercube(*arity(1))
-    if family == "kneser":
-        n, k = arity(2)
-        return kneser(n, k)
-    if family == "petersen":
-        arity(0)
-        return petersen()
-    if family == "circulant":
-        if len(params) < 2:
-            raise InvalidParams("circulant takes n followed by offsets")
-        return circulant(params[0], list(params[1:]))
-    if family == "random_regular":
-        n, d, seed = arity(3)
-        return random_regular(n, d, seed)
-    raise InvalidParams(f"unknown family {family!r}")
+    make = FAMILIES.get(spec.family)
+    if make is None:
+        raise InvalidParams(f"unknown family {spec.family!r}")
+    try:
+        inspect.signature(make).bind(*spec.params)
+    except TypeError as exc:
+        raise InvalidParams(f"{spec.label()!r}: {exc}") from None
+    return make(*spec.params)
 
 
 def load_manifest(text: str) -> list[FamilySpec]:

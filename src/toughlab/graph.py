@@ -62,10 +62,6 @@ class VertexSet:
             bits |= 1 << v
         return cls(n, bits)
 
-    @classmethod
-    def full(cls, n: int) -> "VertexSet":
-        return cls(n, (1 << n) - 1)
-
     def __len__(self) -> int:
         return self.bits.bit_count()
 
@@ -79,20 +75,13 @@ class VertexSet:
             yield low.bit_length() - 1
             bits ^= low
 
-    def members(self) -> tuple[int, ...]:
-        return tuple(self)
-
-    def union(self, other: "VertexSet") -> "VertexSet":
+    def __or__(self, other: "VertexSet") -> "VertexSet":
         self._check_ambient(other)
         return VertexSet(self.n, self.bits | other.bits)
 
-    __or__ = union
-
-    def intersection(self, other: "VertexSet") -> "VertexSet":
+    def __and__(self, other: "VertexSet") -> "VertexSet":
         self._check_ambient(other)
         return VertexSet(self.n, self.bits & other.bits)
-
-    __and__ = intersection
 
     def complement(self) -> "VertexSet":
         return VertexSet(self.n, ~self.bits & (1 << self.n) - 1)
@@ -135,14 +124,6 @@ class Graph:
         """
         w = (self.n + 1) // 2
         return w, (1 << w) - 1, _union_table(self.adj[:w]), _union_table(self.adj[w:])
-
-
-@dataclass(frozen=True)
-class NotRegular:
-    """Witness that a graph is not regular: a vertex with a deviating degree."""
-
-    vertex: int
-    degree: int
 
 
 def _require_vertex_count(n: int) -> None:
@@ -255,15 +236,14 @@ def e_between(g: Graph, a: VertexSet, b: VertexSet) -> int:
     return total
 
 
-def regularity(g: Graph) -> int | NotRegular:
-    """Common degree d if the graph is regular, else a violating vertex."""
+def regularity(g: Graph) -> int | None:
+    """Common degree d if the graph is regular, else None."""
     if g.n == 0:
         return 0
     d = g.degree(0)
     for v in range(1, g.n):
-        dv = g.degree(v)
-        if dv != d:
-            return NotRegular(v, dv)
+        if g.degree(v) != d:
+            return None
     return d
 
 
@@ -274,10 +254,9 @@ def is_connected(g: Graph) -> bool:
 def _require_regular(g: Graph) -> int:
     """Common degree of a regular graph; NotRegularGraph names a deviating vertex."""
     d = regularity(g)
-    if isinstance(d, NotRegular):
-        raise NotRegularGraph(
-            f"vertex {d.vertex} has degree {d.degree}, graph is not regular"
-        )
+    if d is None:
+        v = next(v for v in range(g.n) if g.degree(v) != g.degree(0))
+        raise NotRegularGraph(f"vertex {v} has degree {g.degree(v)}, graph is not regular")
     return d
 
 

@@ -51,8 +51,8 @@ class MixingCheck:
 
     def to_json_dict(self) -> dict:
         return {
-            "A": list(self.a.members()),
-            "B": list(self.b.members()),
+            "A": list(self.a),
+            "B": list(self.b),
             "e_ab": self.e_ab,
             "expected": self.expected,
             "bound": self.bound,

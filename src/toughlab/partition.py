@@ -28,8 +28,8 @@ class PartitionWitness:
 
     def to_json_dict(self) -> dict:
         return {
-            "X": list(self.x.members()),
-            "Y": list(self.y.members()),
+            "X": list(self.x),
+            "Y": list(self.y),
             "size_x": self.size_x,
             "size_y": self.size_y,
             "cross_edges": self.cross_edges,

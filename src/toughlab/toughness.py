@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .errors import DisconnectedGraph, GraphTooLarge, SNotProper
+from .errors import GraphTooLarge, SNotProper
 from .graph import Graph, VertexSet, _require_connected, count_components
 
 # Past this the subset space is no longer a desk-scale computation.
@@ -72,11 +72,9 @@ def exact_toughness(g: Graph, max_n: int = DEFAULT_MAX_N) -> ToughnessResult | N
     if g.n > max_n:
         raise GraphTooLarge(
             f"exact toughness on n={g.n} exceeds the cap {max_n}; "
-            "raise it explicitly if you mean it"
+            "pass a larger max_n (analyze --force) to search anyway"
         )
     _require_connected(g, "toughness")
-    if g.n < 2:
-        raise DisconnectedGraph("toughness needs at least two vertices")
     n = g.n
     best_s = best_c = best_mask = 0
     for s in range(0, n - 1):

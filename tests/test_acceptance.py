@@ -143,7 +143,7 @@ def test_criterion_6_claim2_partition():
             g, comps = clique_components(list(sizes))
             witness = claim2_partition(g, VertexSet(g.n))
             assert witness.x.isdisjoint(witness.y)
-            assert (witness.x | witness.y) == VertexSet.full(g.n)
+            assert (witness.x | witness.y) == VertexSet(g.n, (1 << g.n) - 1)
             assert witness.size_x >= c and witness.size_y >= c
             assert e_between(g, witness.x, witness.y) == 0
             assert witness.cross_edges == 0

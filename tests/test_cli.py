@@ -49,6 +49,15 @@ class TestGen:
         assert code == 2 and out == ""
         assert err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("spec", [
+        "cycle 3 4", "complete", "complete_bipartite 3", "hypercube", "kneser 7",
+        "petersen 1", "circulant 8", "random_regular 10 3",
+    ])
+    def test_wrong_parameter_count_exit_2(self, capsys, spec):
+        code, out, err = run(capsys, "gen", *spec.split())
+        assert code == 2 and out == ""
+        assert spec in err
+
     def test_complete4_edgelist(self, capsys):
         code, out, _ = run(capsys, "gen", "complete", "4", "--format", "edgelist")
         assert code == 0
@@ -166,6 +175,15 @@ class TestAnalyze:
         assert err.startswith("error: lambda must be positive")
         assert err.count("\n") == 1
 
+    def test_single_vertex_toughness_undefined(self, capsys, tmp_path):
+        # K1 is connected and no proper cut disconnects it, as for every
+        # complete graph.
+        path = tmp_path / "k1.txt"
+        path.write_text("1 0\n")
+        code, out, _ = run(capsys, "analyze", str(path), "--toughness")
+        assert code == 0
+        assert json.loads(out)["toughness"] == {"undefined": True}
+
     def test_partition_without_toughness_checked_first(self, capsys, tmp_path):
         missing = str(tmp_path / "missing.g6")
         code, out, err = run(capsys, "analyze", missing, "--partition")
@@ -180,7 +198,7 @@ class TestAnalyze:
         path.write_text(emit_edge_list(star))
         code, out, err = run(capsys, "analyze", str(path), "--toughness")
         assert code == 2 and out == ""
-        assert "exceeds the cap 24" in err
+        assert "exceeds the cap 24" in err and "--force" in err
         code, out, _ = run(capsys, "analyze", str(path), "--toughness", "--force")
         assert code == 0
         tough = json.loads(out)["toughness"]

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from toughlab import is_connected, regularity, spectrum
@@ -67,10 +69,10 @@ def test_petersen_spectrum_golden():
 
 
 def test_circulant():
-    assert circulant(6, [1]) == cycle(6)
-    assert circulant(5, [1, 2]) == complete(5)
+    assert circulant(6, 1) == cycle(6)
+    assert circulant(5, 1, 2) == complete(5)
     with pytest.raises(InvalidParams):
-        circulant(6, [7])
+        circulant(6, 7)
 
 
 def test_random_regular():
@@ -89,7 +91,7 @@ def test_random_regular():
     lambda: complete(2000),
     lambda: complete_bipartite(33, 33),
     lambda: kneser(13, 4),
-    lambda: circulant(65, [1]),
+    lambda: circulant(65, 1),
     lambda: random_regular(66, 3, seed=1),
 ], ids=["cycle", "complete", "complete_bipartite", "kneser", "circulant",
         "random_regular"])
@@ -110,6 +112,15 @@ def test_family_spec_parsing_and_build():
         build(parse_family_spec("frobnicate 3"))
     with pytest.raises(InvalidParams):
         parse_family_spec("cycle x")
+
+
+@pytest.mark.parametrize("spec", [
+    "cycle 3 4", "complete", "complete_bipartite 3", "hypercube", "kneser 7",
+    "petersen 1", "circulant 8", "random_regular 10 3",
+])
+def test_build_refuses_wrong_parameter_count(spec):
+    with pytest.raises(InvalidParams, match=re.escape(spec)):
+        build(parse_family_spec(spec))
 
 
 def test_load_manifest_skips_comments_and_blanks():

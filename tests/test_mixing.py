@@ -67,7 +67,7 @@ def test_mixing_empty_set():
 
 def test_mixing_full_set():
     p = petersen()
-    full = VertexSet.full(10)
+    full = VertexSet(10, (1 << 10) - 1)
     check = mixing_check(p, full, full, lam_of(p))
     assert check.e_ab == 2 * p.m == 30
     assert check.expected == pytest.approx(30, abs=1e-9)

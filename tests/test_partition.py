@@ -153,7 +153,7 @@ class TestClaim2Partition:
             g, comps = clique_components(list(sizes))
             witness = claim2_partition(g, VertexSet(g.n))
             union = witness.x | witness.y
-            everything = VertexSet.full(g.n)
+            everything = VertexSet(g.n, (1 << g.n) - 1)
             assert witness.x.isdisjoint(witness.y)
             assert union == everything
             assert witness.size_x >= c and witness.size_y >= c

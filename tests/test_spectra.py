@@ -137,7 +137,7 @@ def test_jacobi_matches_reference_on_corpus(corpus):
     kneser(7, 3),
     hypercube(5),
     random_regular(20, 3, 1),
-    circulant(40, [1, 5, 9]),
+    circulant(40, 1, 5, 9),
     from_edge_list(5, [(i, i + 1) for i in range(4)]),
     from_edge_list(1, []),
     from_edge_list(2, [(0, 1)]),

@@ -79,7 +79,7 @@ def test_pinned_witnesses(spec, t, witness, comps):
     # The witness is the first cut in enumeration order (size, then
     # ascending mask) that attains t; these values fix that order.
     result = exact_toughness(build(parse_family_spec(spec)))
-    assert (result.t, result.witness.members(), result.components) == (
+    assert (result.t, tuple(result.witness), result.components) == (
         t, witness, comps)
 
 
@@ -87,17 +87,20 @@ def test_toughness_of_cut_examples():
     assert toughness_of_cut(cycle(6), VertexSet.of(6, [0, 3])) == Fraction(1)
     assert toughness_of_cut(cycle(6), VertexSet.of(6, [0])) is None
     with pytest.raises(SNotProper):
-        toughness_of_cut(cycle(6), VertexSet.full(6))
+        toughness_of_cut(cycle(6), VertexSet(6, (1 << 6) - 1))
 
 
 @pytest.mark.parametrize(
     "g",
     [cycle(5), cycle(8), petersen(), complete_bipartite(4, 4), hypercube(3),
-     random_regular(10, 3, 7)],
+     random_regular(10, 3, 7), complete(1)],
 )
 def test_pruned_matches_naive_oracle(g):
     pruned = exact_toughness(g)
     naive = naive_toughness(g)
+    if naive is None:  # K1: connected, and no proper cut disconnects it
+        assert pruned is None
+        return
     assert pruned.t == naive.t
     assert pruned.components == naive.components
     # both witnesses attain the value
