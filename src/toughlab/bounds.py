@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .graph import Graph, _require_connected, _require_regular
-from .spectra import LAMBDA_EPS
+from .spectra import LAMBDA_EPS, _check_lambda
 from .toughness import ToughnessResult
 
 
@@ -43,32 +43,6 @@ class BoundReport:
     slack: float | None
     tight_gap: float | None
     violation: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "lambda": self.lam,
-            "alon": self.alon,
-            "brouwer": self.brouwer,
-            "gu": self.gu,
-            "theorem": self.theorem,
-            "exact_t": None if self.exact_t is None else _rational_dict(self.exact_t),
-            "slack": self.slack,
-            "tight_gap": self.tight_gap,
-            "violation": self.violation,
-        }
-
-
-def _rational_dict(frac: Fraction) -> dict:
-    return {"num": frac.numerator, "den": frac.denominator}
-
-
-def _check_lambda(lam: float | None) -> float:
-    """Return ``lam``, refusing None, NaN, infinity and lam <= 0; a graph's
-    lambda is positive exactly when n >= 2 and m > 0."""
-    if lam is None or not 0.0 < lam < math.inf:
-        raise ValueError(f"lambda must be positive and finite (n >= 2 and m > 0), got {lam}")
-    return lam
 
 
 def alon_bound(d: int, lam: float) -> float:

@@ -8,17 +8,20 @@ Exit codes are a stable contract for CI: 0 success, 2 usage or input error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable
 
 from . import families
-from .bounds import _check_lambda, _rational_dict, verify_theorem
+from .bounds import verify_theorem
 from .errors import MalformedGraph6, ToughlabError
 from .graph import (
     Graph,
+    VertexSet,
     _require_connected,
     emit_edge_list,
     emit_graph6,
@@ -35,7 +38,7 @@ from .mixing import (
     verify_component_bound,
 )
 from .partition import claim2_partition
-from .spectra import LAMBDA_EPS, spectrum
+from .spectra import LAMBDA_EPS, _check_lambda, spectrum
 from .toughness import COMPONENT_BOUND_MAX_N, DEFAULT_MAX_N, exact_toughness
 
 EXIT_OK = 0
@@ -54,15 +57,39 @@ MAX_SAMPLES = 10_000_000
 DEFAULT_SEED = 42
 
 
-def _sample_count(text: str) -> int:
-    """``--samples`` value, checked while the arguments are parsed."""
-    try:
-        samples = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
-    if not 1 <= samples <= MAX_SAMPLES:
-        raise argparse.ArgumentTypeError(f"{samples} is outside 1..{MAX_SAMPLES}")
-    return samples
+def _int_in(low: int, high: int | None = None) -> Callable[[str], int]:
+    """An argparse ``type`` for an integer in low..high (no upper limit when
+    ``high`` is None), so a bad value exits 2 before any output."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+        if value < low or high is not None and value > high:
+            raise argparse.ArgumentTypeError(
+                f"{value} is outside {low}..{'' if high is None else high}")
+        return value
+    return parse
+
+
+# Report keys that differ from the field names of the records they print.
+_REPORT_KEYS = {"lam": "lambda", "a": "A", "b": "B", "x": "X", "y": "Y"}
+
+
+def _report_json(obj: object) -> object:
+    """``json.dumps`` default for the records a report holds.
+
+    A ``VertexSet`` prints as its ascending vertex list and a ``Fraction`` as
+    ``{num, den}``; any other record prints its dataclass fields, renamed
+    through ``_REPORT_KEYS``.  So a record's field order is its report key
+    order, which the pinned report digests hold.
+    """
+    if isinstance(obj, VertexSet):
+        return list(obj)
+    if isinstance(obj, Fraction):
+        return {"num": obj.numerator, "den": obj.denominator}
+    return {_REPORT_KEYS.get(f.name, f.name): getattr(obj, f.name)
+            for f in dataclasses.fields(obj)}
 
 
 def _read_graph(path: str) -> Graph:
@@ -101,7 +128,8 @@ def _check_graph(g: Graph, *, toughness_cap: int | None, bounds: bool,
 
     ``toughness_cap`` is the exact search's ``max_n``, or None to leave t out;
     ``mixing`` is None, ``"exhaustive"`` or ``"sampled"``.  Sections not asked
-    for stay None.
+    for stay None.  The sections hold the library's result records, which
+    ``_report_json`` serializes.
     """
     report: dict = {
         "schema": REPORT_SCHEMA,
@@ -119,29 +147,15 @@ def _check_graph(g: Graph, *, toughness_cap: int | None, bounds: bool,
         "partition": None,
     }
     if bounds or mixing or component_bound:
-        profile = spectrum(g)
+        report["spectral"] = profile = spectrum(g)
         lam = _check_lambda(profile.lam)
-        report["spectral"] = {
-            "eigenvalues": list(profile.eigenvalues),
-            "lambda1": profile.lambda1,
-            "lambda": profile.lam,
-            "residual": profile.residual,
-        }
     tough = None
     if toughness_cap is not None:
         tough = exact_toughness(g, toughness_cap)
-        if tough is None:
-            report["toughness"] = {"undefined": True}
-        else:
-            report["toughness"] = {
-                "t": _rational_dict(tough.t),
-                "witness": list(tough.witness),
-                "components": tough.components,
-            }
+        report["toughness"] = {"undefined": True} if tough is None else tough
     violation = False
     if bounds:
-        bound_report = verify_theorem(g, lam, tough)
-        report["bounds"] = bound_report.to_json_dict()
+        report["bounds"] = bound_report = verify_theorem(g, lam, tough)
         violation = violation or bound_report.violation
     if mixing:
         sampled = mixing == "sampled"
@@ -152,7 +166,7 @@ def _check_graph(g: Graph, *, toughness_cap: int | None, bounds: bool,
         report["mixing"] = {"mode": mixing,
                             "samples": samples if sampled else None,
                             "seed": seed if sampled else None,
-                            "worst": worst.to_json_dict()}
+                            "worst": worst}
         violation = violation or worst.slack < -LAMBDA_EPS
     if component_bound:
         value = component_count_bound(g, lam)
@@ -166,7 +180,7 @@ def _check_graph(g: Graph, *, toughness_cap: int | None, bounds: bool,
             report["partition"] = {"precondition_failed": "toughness undefined"}
         else:
             try:
-                report["partition"] = claim2_partition(g, tough.witness).to_json_dict()
+                report["partition"] = claim2_partition(g, tough.witness)
             except ToughlabError as exc:
                 report["partition"] = {"precondition_failed": str(exc)}
     return report, violation
@@ -183,7 +197,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         g, toughness_cap=cap, bounds=args.bounds, mixing=args.mixing,
         component_bound=args.component_bound, partition=args.partition,
         samples=args.samples, seed=args.seed)
-    sys.stdout.write(json.dumps(report, indent=2) + "\n")
+    sys.stdout.write(json.dumps(report, indent=2, default=_report_json) + "\n")
     return EXIT_VIOLATION if violation else EXIT_OK
 
 
@@ -215,15 +229,14 @@ def cmd_verify_corpus(args: argparse.Namespace) -> int:
             samples=args.samples, seed=args.seed)
         violations += bad
         bounds = report["bounds"]
-        t = bounds["exact_t"]
-        exact = "-" if t is None else str(Fraction(t["num"], t["den"]))
-        slack = "-" if bounds["slack"] is None else f"{bounds['slack']:.6f}"
+        exact = "-" if bounds.exact_t is None else str(bounds.exact_t)
+        slack = "-" if bounds.slack is None else f"{bounds.slack:.6f}"
         verified = report["component_bound"]["verified"]
         comp = "-" if verified is None else str(verified)
         print(
-            f"{spec.label():<28}{g.n:>4}{bounds['d']:>4}{bounds['lambda']:>10.6f}"
-            f"{bounds['theorem']:>10.6f}{exact:>10}{slack:>10}"
-            f"{report['mixing']['worst']['slack']:>11.6f}{comp:>9}"
+            f"{spec.label():<28}{g.n:>4}{bounds.d:>4}{bounds.lam:>10.6f}"
+            f"{bounds.theorem:>10.6f}{exact:>10}{slack:>10}"
+            f"{report['mixing']['worst'].slack:>11.6f}{comp:>9}"
         )
     print(f"\n{len(specs)} graphs checked, {violations} violation(s)")
     return EXIT_VIOLATION if violations else EXIT_OK
@@ -248,8 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--toughness", action="store_true")
     analyze.add_argument("--bounds", action="store_true")
     analyze.add_argument("--mixing", choices=["exhaustive", "sampled"], default=None)
-    analyze.add_argument("--samples", type=_sample_count, default=DEFAULT_SAMPLES)
-    analyze.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    analyze.add_argument("--samples", type=_int_in(1, MAX_SAMPLES), default=DEFAULT_SAMPLES)
+    analyze.add_argument("--seed", type=_int_in(0), default=DEFAULT_SEED)
     analyze.add_argument("--component-bound", action="store_true")
     analyze.add_argument("--partition", action="store_true")
     analyze.add_argument("--force", action="store_true",
@@ -259,8 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify-corpus", help="verify bounds on a corpus")
     verify.add_argument("manifest", nargs="?", default=None,
                         help="family specs, one per line (default: shipped corpus)")
-    verify.add_argument("--samples", type=_sample_count, default=DEFAULT_SAMPLES)
-    verify.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    verify.add_argument("--samples", type=_int_in(1, MAX_SAMPLES), default=DEFAULT_SAMPLES)
+    verify.add_argument("--seed", type=_int_in(0), default=DEFAULT_SEED)
     verify.set_defaults(func=cmd_verify_corpus)
 
     return parser

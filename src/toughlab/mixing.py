@@ -27,10 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import _check_lambda
 from .errors import GraphTooLarge
 from .graph import Graph, VertexSet, _require_regular, e_between
-from .spectra import LAMBDA_EPS
+from .spectra import LAMBDA_EPS, _check_lambda
 from .toughness import max_components_over_cuts
 
 EXHAUSTIVE_MAX_N = 10
@@ -48,16 +47,6 @@ class MixingCheck:
     expected: float
     bound: float
     slack: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "A": list(self.a),
-            "B": list(self.b),
-            "e_ab": self.e_ab,
-            "expected": self.expected,
-            "bound": self.bound,
-            "slack": self.slack,
-        }
 
 
 def mixing_check(g: Graph, a: VertexSet, b: VertexSet, lam: float) -> MixingCheck:
@@ -155,6 +144,10 @@ def sampled_mixing_verify(g: Graph, samples: int, seed: int, lam: float) -> Mixi
     d = _require_regular(g)
     if samples < 1:
         raise ValueError("samples must be at least 1")
+    if seed < 0:
+        # random.Random(-s) replays seed s, so a negative seed would be a
+        # second name for a non-negative one.
+        raise ValueError(f"seed must be non-negative, got {seed}")
     n = g.n
     rng = random.Random(seed)
     adj = np.array(g.adj, dtype=np.uint64)

@@ -26,15 +26,6 @@ class PartitionWitness:
     size_y: int
     cross_edges: int
 
-    def to_json_dict(self) -> dict:
-        return {
-            "X": list(self.x),
-            "Y": list(self.y),
-            "size_x": self.size_x,
-            "size_y": self.size_y,
-            "cross_edges": self.cross_edges,
-        }
-
 
 def index_subset(sizes: Sequence[int], ell: int) -> frozenset[int]:
     """Indices (0-based, in the caller's order) whose sizes sum to ``ell``.

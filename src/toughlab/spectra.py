@@ -32,6 +32,14 @@ DEFAULT_MAX_SWEEPS = 100
 LAMBDA_EPS = 1e-9
 
 
+def _check_lambda(lam: float | None) -> float:
+    """Return ``lam``, refusing None, NaN, infinity and lam <= 0; a graph's
+    lambda is positive exactly when n >= 2 and m > 0."""
+    if lam is None or not 0.0 < lam < math.inf:
+        raise ValueError(f"lambda must be positive and finite (n >= 2 and m > 0), got {lam}")
+    return lam
+
+
 @dataclass(frozen=True)
 class SpectralProfile:
     """Eigenvalues of the adjacency matrix, sorted descending.

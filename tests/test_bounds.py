@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ from hypothesis import given, strategies as st
 from toughlab import (
     alon_bound,
     brouwer_bound,
+    cli,
     exact_toughness,
     gu_bound,
     spectrum,
@@ -118,7 +120,7 @@ def test_tightness_gap():
 
 
 def test_json_dict_field_names():
-    payload = verify(petersen()).to_json_dict()
+    payload = json.loads(json.dumps(verify(petersen()), default=cli._report_json))
     assert set(payload) == {
         "d", "lambda", "alon", "brouwer", "gu", "theorem",
         "exact_t", "slack", "tight_gap", "violation",

@@ -277,6 +277,17 @@ def test_samples_out_of_range_exit_2(capsys, petersen_file, command, samples):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["analyze", "verify-corpus"])
+def test_negative_seed_exit_2(capsys, petersen_file, command):
+    # A negative seed replays its absolute value's pairs; it is refused while
+    # the arguments are parsed.
+    argv = [petersen_file, "--mixing", "sampled"] if command == "analyze" else []
+    code, out, err = run(capsys, command, *argv, "--seed", "-1")
+    assert code == 2 and out == ""
+    assert "--seed: -1 is outside 0.." in err
+    assert "Traceback" not in err
+
+
 def test_analyze_byte_identical_across_runs(petersen_file):
     cmd = [sys.executable, "-m", "toughlab.cli", "analyze", petersen_file,
            "--bounds", "--toughness", "--mixing", "sampled",
@@ -303,7 +314,12 @@ def _relabelled(g, seed):
     (lambda: emit_graph6(kneser(7, 3)) + "\n",
      "--bounds --mixing sampled --samples 1000 --component-bound",
      "c4d1c190c402c9931c9913dcd14e03f7a3ab8ffabc0728e7aa03d8c12f4d60e2"),
-], ids=["petersen-all", "rr18-relabelled", "kneser73-sampled"])
+    # The one case whose partition section succeeds, so it pins the X, Y,
+    # size_x, size_y and cross_edges keys.
+    (lambda: emit_graph6(random_regular(12, 3, 7)) + "\n",
+     "--toughness --bounds --partition",
+     "428b7cd1415c513d8f15417f0f68337f4f2cad14069b325de0963278e09cd037"),
+], ids=["petersen-all", "rr18-relabelled", "kneser73-sampled", "rr12-partition"])
 def test_analyze_matches_pinned_digest(capsys, tmp_path, make_input, flags, digest):
     # Like the verify-corpus digest below: a change to any printed digit,
     # sign, key or section of the report breaks it.

@@ -192,6 +192,13 @@ def test_sampled_verify_and_determinism():
     assert (c.a, c.b) != (d.a, d.b)
 
 
+def test_sampled_verify_refuses_negative_seed():
+    # random.Random(-7) replays seed 7, so -7 would name seed 7's pairs.
+    g = cycle(12)
+    with pytest.raises(ValueError, match="seed must be non-negative"):
+        sampled_mixing_verify(g, samples=10, seed=-7, lam=lam_of(g))
+
+
 @pytest.mark.parametrize("seed", [0, 42])
 @pytest.mark.parametrize("n", [2, 31, 32, 33, 35, 63, 64])
 def test_random_masks_match_getrandbits_stream(n, seed):
