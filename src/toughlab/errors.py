@@ -1,4 +1,4 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package: one class per remedy."""
 
 
 class ToughlabError(Exception):
@@ -6,43 +6,15 @@ class ToughlabError(Exception):
 
 
 class GraphError(ToughlabError, ValueError):
-    """Invalid graph construction or parsing input."""
-
-
-class EndpointOutOfRange(GraphError):
-    pass
-
-
-class SelfLoop(GraphError):
-    pass
-
-
-class TooManyVertices(GraphError):
-    pass
-
-
-class MalformedGraph6(GraphError):
-    pass
-
-
-class MalformedEdgeList(GraphError):
-    pass
+    """The input is not a simple graph on at most 64 vertices."""
 
 
 class InvalidParams(ToughlabError, ValueError):
     """Bad parameters for a graph family generator."""
 
 
-class DisconnectedGraph(ToughlabError, ValueError):
-    """Operation requires a connected graph."""
-
-
-class NotRegularGraph(ToughlabError, ValueError):
-    """Operation requires a regular graph."""
-
-
-class TooFewVertices(ToughlabError, ValueError):
-    pass
+class PreconditionViolated(ToughlabError, ValueError):
+    """The operation is not defined on this input."""
 
 
 class GraphTooLarge(ToughlabError, ValueError):
@@ -55,11 +27,3 @@ class NoConvergence(ToughlabError, RuntimeError):
 
 class RetriesExhausted(ToughlabError, RuntimeError):
     """Random generator gave up after the configured number of attempts."""
-
-
-class PreconditionViolated(ToughlabError, ValueError):
-    """A combinatorial construction was called outside its guarantees."""
-
-
-class SNotProper(ToughlabError, ValueError):
-    """Cut set must be a proper subset of the vertex set."""

@@ -101,6 +101,9 @@ def random_regular(n: int, d: int, seed: int) -> Graph:
         raise InvalidParams(f"need 0 <= d < n, got d={d}, n={n}")
     if n * d % 2:
         raise InvalidParams(f"n*d must be even, got n={n}, d={d}")
+    if seed < 0:
+        # random.Random(-s) replays seed s.
+        raise InvalidParams(f"random_regular needs seed >= 0, got {seed}")
     _require_vertex_count(n)
     rng = random.Random(seed)
     for _ in range(RANDOM_REGULAR_MAX_ATTEMPTS):

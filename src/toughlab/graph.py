@@ -15,15 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
 
-from .errors import (
-    DisconnectedGraph,
-    EndpointOutOfRange,
-    MalformedEdgeList,
-    MalformedGraph6,
-    NotRegularGraph,
-    SelfLoop,
-    TooManyVertices,
-)
+from .errors import GraphError, PreconditionViolated
 
 # Hard cap on the ambient vertex count.  The exact-toughness search is
 # hopeless far below this anyway; the cap keeps every bitmask in one or two
@@ -40,7 +32,7 @@ HALF_TABLE_MAX_N = 24
 GRAPH6_HEADER = ">>graph6<<"
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class VertexSet:
     """A subset of 0..n-1 for a fixed ambient vertex count ``n``."""
 
@@ -49,7 +41,7 @@ class VertexSet:
 
     def __post_init__(self) -> None:
         if self.n < 0 or self.n > MAX_VERTICES:
-            raise TooManyVertices(f"ambient size {self.n} outside 0..{MAX_VERTICES}")
+            raise GraphError(f"ambient size {self.n} outside 0..{MAX_VERTICES}")
         if self.bits < 0 or self.bits >> self.n:
             raise ValueError(f"bits 0x{self.bits:x} not contained in 0..{self.n - 1}")
 
@@ -58,15 +50,12 @@ class VertexSet:
         bits = 0
         for v in vertices:
             if not 0 <= v < n:
-                raise EndpointOutOfRange(f"vertex {v} outside 0..{n - 1}")
+                raise GraphError(f"vertex {v} outside 0..{n - 1}")
             bits |= 1 << v
         return cls(n, bits)
 
     def __len__(self) -> int:
         return self.bits.bit_count()
-
-    def __contains__(self, v: int) -> bool:
-        return 0 <= v < self.n and bool(self.bits >> v & 1)
 
     def __iter__(self) -> Iterator[int]:
         bits = self.bits
@@ -129,7 +118,7 @@ class Graph:
 def _require_vertex_count(n: int) -> None:
     """Refuse a vertex count outside 0..``MAX_VERTICES`` before anything is built."""
     if n < 0 or n > MAX_VERTICES:
-        raise TooManyVertices(f"n={n} outside 0..{MAX_VERTICES}")
+        raise GraphError(f"n={n} outside 0..{MAX_VERTICES}")
 
 
 def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
@@ -138,9 +127,9 @@ def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     adj = [0] * n
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
-            raise EndpointOutOfRange(f"edge ({u},{v}) outside 0..{n - 1}")
+            raise GraphError(f"edge ({u},{v}) outside 0..{n - 1}")
         if u == v:
-            raise SelfLoop(f"self-loop at vertex {u}")
+            raise GraphError(f"self-loop at vertex {u}")
         adj[u] |= 1 << v
         adj[v] |= 1 << u
     m = sum(row.bit_count() for row in adj) // 2
@@ -252,17 +241,18 @@ def is_connected(g: Graph) -> bool:
 
 
 def _require_regular(g: Graph) -> int:
-    """Common degree of a regular graph; NotRegularGraph names a deviating vertex."""
+    """Common degree of a regular graph; the error names a deviating vertex."""
     d = regularity(g)
     if d is None:
         v = next(v for v in range(g.n) if g.degree(v) != g.degree(0))
-        raise NotRegularGraph(f"vertex {v} has degree {g.degree(v)}, graph is not regular")
+        raise PreconditionViolated(
+            f"vertex {v} has degree {g.degree(v)}, graph is not regular")
     return d
 
 
 def _require_connected(g: Graph, what: str) -> None:
     if not is_connected(g):
-        raise DisconnectedGraph(f"{what} is defined for connected graphs only")
+        raise PreconditionViolated(f"{what} is defined for connected graphs only")
 
 
 # ---------------------------------------------------------------------------
@@ -296,14 +286,14 @@ def parse_graph6(text: str) -> Graph:
     if line.startswith(GRAPH6_HEADER):
         line = line[len(GRAPH6_HEADER):]
     if not line:
-        raise MalformedGraph6("empty graph6 line")
+        raise GraphError("empty graph6 line")
     if any(not 63 <= ord(ch) <= 126 for ch in line):
-        raise MalformedGraph6(f"character outside graph6 range in {line!r}")
+        raise GraphError(f"character outside graph6 range in {line!r}")
     if ord(line[0]) == 126:
         if len(line) >= 2 and ord(line[1]) == 126:
-            raise TooManyVertices("graph6 36-bit size form exceeds the vertex cap")
+            raise GraphError("graph6 36-bit size form exceeds the vertex cap")
         if len(line) < 4:
-            raise MalformedGraph6("truncated graph6 size field")
+            raise GraphError("truncated graph6 size field")
         n = 0
         for ch in line[1:4]:
             n = n << 6 | ord(ch) - 63
@@ -312,18 +302,16 @@ def parse_graph6(text: str) -> Graph:
         n = ord(line[0]) - 63
         body = line[1:]
     if n > MAX_VERTICES:
-        raise TooManyVertices(f"graph6 line encodes n={n} > {MAX_VERTICES}")
+        raise GraphError(f"graph6 line encodes n={n} > {MAX_VERTICES}")
     nbits = n * (n - 1) // 2
     if len(body) != (nbits + 5) // 6:
-        raise MalformedGraph6(
-            f"graph6 body length {len(body)} wrong for n={n}"
-        )
+        raise GraphError(f"graph6 body length {len(body)} wrong for n={n}")
     bits = []
     for ch in body:
         val = ord(ch) - 63
         bits.extend(val >> s & 1 for s in (5, 4, 3, 2, 1, 0))
     if any(bits[nbits:]):
-        raise MalformedGraph6(f"nonzero padding bits in graph6 line {line!r}")
+        raise GraphError(f"nonzero padding bits in graph6 line {line!r}")
     edges = []
     k = 0
     for j in range(1, n):
@@ -348,30 +336,30 @@ def parse_edge_list(text: str) -> Graph:
     """Decode the edge-list format; a repeated edge is an error here."""
     lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
     if not lines:
-        raise MalformedEdgeList("empty edge-list input")
+        raise GraphError("empty edge-list input")
     header = lines[0].split()
     if len(header) != 2:
-        raise MalformedEdgeList(f"bad header line {lines[0]!r}, expected 'n m'")
+        raise GraphError(f"bad header line {lines[0]!r}, expected 'n m'")
     try:
         n, m = int(header[0]), int(header[1])
     except ValueError as exc:
-        raise MalformedEdgeList(f"non-integer header {lines[0]!r}") from exc
+        raise GraphError(f"non-integer header {lines[0]!r}") from exc
     if len(lines) - 1 != m:
-        raise MalformedEdgeList(f"expected {m} edge lines, got {len(lines) - 1}")
+        raise GraphError(f"expected {m} edge lines, got {len(lines) - 1}")
     edges = []
     for ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 2:
-            raise MalformedEdgeList(f"bad edge line {ln!r}")
+            raise GraphError(f"bad edge line {ln!r}")
         try:
             edges.append((int(parts[0]), int(parts[1])))
         except ValueError as exc:
-            raise MalformedEdgeList(f"non-integer edge line {ln!r}") from exc
+            raise GraphError(f"non-integer edge line {ln!r}") from exc
     g = from_edge_list(n, edges)
     if g.m != m:
         seen = set()
         for u, v in edges:
             if (u, v) in seen:
-                raise MalformedEdgeList(f"repeated edge {u} {v}")
+                raise GraphError(f"repeated edge {u} {v}")
             seen.update([(u, v), (v, u)])
     return g

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoConvergence, TooFewVertices
+from .errors import NoConvergence, PreconditionViolated
 from .graph import Graph
 
 DEFAULT_TOL = 1e-12
@@ -118,7 +118,7 @@ def _jacobi_eigh(a0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def spectrum(g: Graph) -> SpectralProfile:
     """Full adjacency spectrum with eigenpair residuals."""
     if g.n < 1:
-        raise TooFewVertices("spectrum needs at least one vertex")
+        raise PreconditionViolated("spectrum needs at least one vertex")
     a0 = adjacency_matrix(g)
     diag, vecs = _jacobi_eigh(a0)
     order = np.argsort(-diag, kind="stable")

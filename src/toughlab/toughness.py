@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .errors import GraphTooLarge, SNotProper
+from .errors import GraphTooLarge, PreconditionViolated
 from .graph import Graph, VertexSet, _require_connected, count_components
 
 # Past this the subset space is no longer a desk-scale computation.
@@ -114,7 +114,7 @@ def toughness_of_cut(g: Graph, s: VertexSet) -> Fraction | None:
     if s.n != g.n:
         raise ValueError("cut set has wrong ambient size")
     if s.bits == (1 << g.n) - 1:
-        raise SNotProper("S must be a proper subset of V")
+        raise PreconditionViolated("S must be a proper subset of V")
     c = count_components(g, s.bits)
     if c <= 1:
         return None

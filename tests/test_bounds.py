@@ -15,7 +15,7 @@ from toughlab import (
     theorem_bound,
     verify_theorem,
 )
-from toughlab.errors import DisconnectedGraph, NotRegularGraph
+from toughlab.errors import PreconditionViolated
 from toughlab.families import complete, complete_bipartite, cycle, petersen
 from toughlab.graph import from_edge_list
 
@@ -99,10 +99,10 @@ def test_verify_theorem_complete5():
 
 def test_verify_theorem_rejects_bad_input():
     path3 = from_edge_list(3, [(0, 1), (1, 2)])
-    with pytest.raises(NotRegularGraph):
+    with pytest.raises(PreconditionViolated, match="graph is not regular"):
         verify_theorem(path3, spectrum(path3).lam, None)
     two_edges = from_edge_list(4, [(0, 1), (2, 3)])
-    with pytest.raises(DisconnectedGraph):
+    with pytest.raises(PreconditionViolated, match="connected graphs only"):
         verify_theorem(two_edges, spectrum(two_edges).lam, None)
     for lam in (None, 0.0):
         with pytest.raises(ValueError, match="lambda must be positive"):

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from toughlab.cli import main
+from toughlab.errors import GraphTooLarge
 from toughlab.families import kneser, petersen, random_regular
 from toughlab.graph import VertexSet, emit_edge_list, emit_graph6, from_edge_list
 from toughlab.toughness import toughness_of_cut
@@ -43,6 +44,7 @@ class TestGen:
         ("kneser 22 10", "n=646646 outside 0..64"),
         ("random_regular 2000000 3 1", "n=2000000 outside 0..64"),
         ("random_regular 4 1 0", "no valid (4,1)-regular graph in 1000 attempts"),
+        ("random_regular 12 3 -7", "random_regular needs seed >= 0, got -7"),
     ])
     def test_family_error_exit_2(self, capsys, params, message):
         code, out, err = run(capsys, "gen", *params.split())
@@ -190,6 +192,19 @@ class TestAnalyze:
         assert code == 2 and out == ""
         assert err == "error: --partition requires --toughness\n"
 
+    def test_partition_reports_only_a_failed_precondition(self, capsys,
+                                                          petersen_file, monkeypatch):
+        # Any other fault in the construction stops the run instead of being
+        # printed as a failed precondition.
+        def broken(g, cut):
+            raise GraphTooLarge("not a precondition")
+
+        monkeypatch.setattr("toughlab.cli.claim2_partition", broken)
+        code, out, err = run(capsys, "analyze", petersen_file, "--toughness",
+                             "--partition")
+        assert code == 2 and out == ""
+        assert err == "error: not a precondition\n"
+
     def test_toughness_cap_exit_2(self, capsys, tmp_path):
         # The star K_1,24 has n = 25, one above the cap; --force runs the
         # exact search on it, through the per-vertex BFS counter.
@@ -255,7 +270,8 @@ class TestVerifyCorpus:
         code, _, _ = run(capsys, "verify-corpus", str(manifest))
         assert code == 2
 
-    @pytest.mark.parametrize("bad", ["bogus 3", "cycle 2", "random_regular 5 3 1"])
+    @pytest.mark.parametrize("bad", ["bogus 3", "cycle 2", "random_regular 5 3 1",
+                                     "random_regular 12 3 -7"])
     def test_unbuildable_spec_after_good_line_prints_nothing(self, capsys,
                                                              tmp_path, bad):
         # Every graph is built before the header, so no partial table.

@@ -3,7 +3,7 @@ import re
 import pytest
 
 from toughlab import is_connected, regularity, spectrum
-from toughlab.errors import InvalidParams, RetriesExhausted, TooManyVertices
+from toughlab.errors import GraphError, InvalidParams, RetriesExhausted
 from toughlab.families import (
     FamilySpec,
     build,
@@ -84,6 +84,9 @@ def test_random_regular():
     assert random_regular(8, 3, seed=2) != g  # seed actually matters
     with pytest.raises(RetriesExhausted):
         random_regular(4, 1, seed=0)  # every perfect matching on 4 vertices is disconnected
+    # random.Random(-7) replays seed 7, so -7 would be a second name for it.
+    with pytest.raises(InvalidParams, match="seed >= 0, got -7"):
+        random_regular(12, 3, seed=-7)
 
 
 @pytest.mark.parametrize("make", [
@@ -100,7 +103,7 @@ def test_vertex_cap_checked_before_building(make, monkeypatch):
         raise AssertionError("edges built before the vertex cap was checked")
 
     monkeypatch.setattr("toughlab.families.from_edge_list", no_build)
-    with pytest.raises(TooManyVertices, match=r"^n=\d+ outside 0\.\.64$"):
+    with pytest.raises(GraphError, match=r"^n=\d+ outside 0\.\.64$"):
         make()
 
 

@@ -16,7 +16,7 @@ from toughlab import (
     spectrum,
     verify_component_bound,
 )
-from toughlab.errors import GraphTooLarge, NotRegularGraph
+from toughlab.errors import GraphTooLarge, PreconditionViolated
 from toughlab.families import (
     build,
     complete,
@@ -77,7 +77,7 @@ def test_mixing_full_set():
 
 def test_mixing_rejects_irregular():
     path3 = from_edge_list(3, [(0, 1), (1, 2)])
-    with pytest.raises(NotRegularGraph):
+    with pytest.raises(PreconditionViolated, match="graph is not regular"):
         mixing_check(path3, VertexSet(3), VertexSet(3), lam_of(path3))
 
 
@@ -146,6 +146,37 @@ def test_exhaustive_matches_dense_reference(g):
     lam = lam_of(g)
     for scale in (1.0, 0.5, 0.9, 1.3):
         _assert_same_worst_pair(g, lam * scale)
+
+
+def _dense_least_reported_slack(g, lam):
+    """Least slack over every (A, B) under ``mixing_check``'s formula, in its
+    order of operations: d*ka*kb/n and lam*sqrt(ka*kb*(1-ka/n)*(1-kb/n))."""
+    n, d = g.n, g.degree(0)
+    masks = np.arange(1 << n, dtype=np.int64)
+    x = (masks[:, None] >> np.arange(n)) & 1
+    e = x @ adjacency_matrix(g).astype(np.int64) @ x.T
+    ka = x.sum(axis=1)[:, None]
+    kb = ka.T
+    expected = d * ka * kb / n
+    bound = lam * np.sqrt(ka * kb * (1.0 - ka / n) * (1.0 - kb / n))
+    return (bound - np.abs(e - expected)).min()
+
+
+# The scan picks its pair with the formula of its docstring and reports it
+# through ``mixing_check``, whose formula rounds differently; on these two
+# graphs the picked pair is not the one of least reported slack.
+_FORMULA_MISMATCH = pytest.mark.xfail(
+    strict=True, reason="scan and mixing_check round the slack differently")
+
+
+@pytest.mark.parametrize("g", [
+    pytest.param(g, id=label,
+                 marks=_FORMULA_MISMATCH if label in ("complete_5", "complete_6") else ())
+    for label, g in EXHAUSTIVE_GRAPHS.items()
+])
+def test_exhaustive_reports_least_slack(g):
+    lam = lam_of(g)
+    assert exhaustive_mixing_verify(g, lam).slack == _dense_least_reported_slack(g, lam)
 
 
 @st.composite

@@ -5,7 +5,7 @@ import pytest
 
 from toughlab import spectrum
 from toughlab import spectra
-from toughlab.errors import NoConvergence, TooFewVertices
+from toughlab.errors import NoConvergence, PreconditionViolated
 from toughlab.families import (
     circulant,
     complete,
@@ -57,7 +57,7 @@ def test_single_vertex_spectrum():
 
 
 def test_empty_graph_spectrum():
-    with pytest.raises(TooFewVertices):
+    with pytest.raises(PreconditionViolated, match="at least one vertex"):
         spectrum(from_edge_list(0, []))
 
 
