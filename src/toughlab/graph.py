@@ -201,11 +201,25 @@ def _component_masks_bfs(adj: tuple[int, ...], avail: int) -> list[int]:
 def count_components(g: Graph, removed_bits: int) -> int:
     """Number of components after deleting the vertices in ``removed_bits``.
 
-    Mask-level fast path for the exhaustive searches: one call per cut.  For
-    n <= ``HALF_TABLE_MAX_N`` each BFS layer costs two lookups in the graph's
-    cached half tables; larger graphs walk the frontier vertex by vertex.
+    Mask-level fast path for the exhaustive searches: one call per cut, and
+    the toughness search and its benchmark count cuts by counting these
+    calls.  For n <= ``HALF_TABLE_MAX_N`` it runs the half-table layer BFS of
+    ``_component_masks`` inline and only counts, building no list of
+    components; larger graphs walk the frontier vertex by vertex.
     """
-    return len(_component_masks(g, ~removed_bits & (1 << g.n) - 1))
+    rem = ~removed_bits & (1 << g.n) - 1
+    if g.n > HALF_TABLE_MAX_N:
+        return len(_component_masks_bfs(g.adj, rem))
+    w, low, lo, hi = g._half_tables
+    count = 0
+    while rem:
+        frontier = rem & -rem
+        rem ^= frontier
+        while frontier:
+            frontier = (lo[frontier & low] | hi[frontier >> w]) & rem
+            rem ^= frontier
+        count += 1
+    return count
 
 
 def e_between(g: Graph, a: VertexSet, b: VertexSet) -> int:

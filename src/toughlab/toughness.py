@@ -7,6 +7,11 @@ the benchmark's golden frontier values (``bench/make_golden.py``).  The same
 size-class scan, unpruned, gives the largest component count over all cuts
 for the spectral component-count ceiling.  Ratios are exact
 ``fractions.Fraction`` values; floats would make ties ambiguous.
+
+The search prunes with the independence number alpha: one vertex per
+component of G-S is an independent set, so c(G-S) <= min(n - s, alpha) when
+|S| = s.  Every enumerated mask costs exactly one ``count_components`` call;
+the benchmark counts cuts by counting those calls.
 """
 
 from __future__ import annotations
@@ -45,14 +50,40 @@ def _subsets_of_size(n: int, k: int) -> Iterator[int]:
         mask = ((ripple ^ mask) >> 2) // low | ripple
 
 
-def _class_max(g: Graph, s: int) -> tuple[int, int]:
+def _independence_number(g: Graph) -> int:
+    """alpha(G) by bitset branch and bound: take or drop the lowest candidate,
+    and cut a branch once it cannot beat the best set found."""
+    best = 0
+
+    def grow(size: int, cand: int) -> None:
+        nonlocal best
+        while cand:
+            if size + cand.bit_count() <= best:
+                return
+            low = cand & -cand
+            cand ^= low
+            grow(size + 1, cand & ~g.adj[low.bit_length() - 1])
+        best = max(best, size)
+
+    grow(0, (1 << g.n) - 1)
+    return best
+
+
+def _class_max(g: Graph, s: int, cap: int) -> tuple[int, int]:
     """Largest c(G-S) over the s-subsets S, in ascending mask order, and the
-    first mask reaching it; ``(1, 0)`` when no s-subset disconnects G."""
+    first mask reaching it; ``(1, 0)`` when no s-subset disconnects G.
+
+    The scan returns at the first mask whose count reaches ``cap``, which
+    must bound every count in the class; that mask is then the first one
+    attaining the class maximum.
+    """
     best_c, best_mask = 1, 0
     for mask in _subsets_of_size(g.n, s):
         c = count_components(g, mask)
         if c > best_c:
             best_c, best_mask = c, mask
+        if c >= cap:
+            break
     return best_c, best_mask
 
 
@@ -64,9 +95,12 @@ def exact_toughness(g: Graph, max_n: int = DEFAULT_MAX_N) -> ToughnessResult | N
     Enumerates S by increasing size s, each class in ascending mask order.
     Within a class the best ratio is s over the largest c, so the scan keeps
     only that c and the first mask reaching it, comparing s*best_c with
-    best_s*c in integers.  A whole size class is pruned once s/(n-s) can no
-    longer beat the incumbent (c <= n-s always), at which point no later
-    class can either.  The witness is the first mask, in enumeration order,
+    best_s*c in integers.  Every c in class s is at most min(n - s, alpha),
+    so a class scan stops at the first mask reaching that ceiling, and the
+    search stops at the first class where s/min(n - s, alpha) can no longer
+    beat the incumbent; the ceiling never grows with s, so no later class
+    can either.  Neither prune skips a class or mask holding a strictly
+    better ratio, so the witness is the first mask, in enumeration order,
     attaining the minimum.
     """
     if g.n > max_n:
@@ -76,11 +110,13 @@ def exact_toughness(g: Graph, max_n: int = DEFAULT_MAX_N) -> ToughnessResult | N
         )
     _require_connected(g, "toughness")
     n = g.n
+    alpha = _independence_number(g)
     best_s = best_c = best_mask = 0
     for s in range(0, n - 1):
-        if best_c and s * best_c >= best_s * (n - s):
+        cap = min(n - s, alpha)
+        if best_c and s * best_c >= best_s * cap:
             break
-        c, mask = _class_max(g, s)
+        c, mask = _class_max(g, s, cap)
         if c > 1 and (not best_c or s * best_c < best_s * c):
             best_s, best_c, best_mask = s, c, mask
     if not best_c:
@@ -100,12 +136,19 @@ def naive_toughness(g: Graph) -> ToughnessResult | None:
 
 
 def max_components_over_cuts(g: Graph) -> int:
-    """Largest c(G-S) over all proper S that disconnect the graph; 0 if none."""
+    """Largest c(G-S) over all proper S that disconnect the graph; 0 if none.
+
+    Unlike ``exact_toughness`` it stops no class at alpha: its cap n is
+    reached only by the empty cut of an edgeless graph, the one mask of its
+    class.  So it makes one ``count_components`` call for each of the 2^n - 1
+    proper subsets, the cut count that the benchmark's traced self-test
+    expects (1023 on Petersen).
+    """
     if g.n > COMPONENT_BOUND_MAX_N:
         raise GraphTooLarge(
             f"cut enumeration on n={g.n} exceeds the cap {COMPONENT_BOUND_MAX_N}"
         )
-    best = max((_class_max(g, s)[0] for s in range(g.n)), default=1)
+    best = max((_class_max(g, s, g.n)[0] for s in range(g.n)), default=1)
     return best if best >= 2 else 0
 
 

@@ -16,23 +16,11 @@ from toughlab.errors import GraphError, PreconditionViolated
 from toughlab.families import cycle, complete, kneser, petersen
 from toughlab.graph import HALF_TABLE_MAX_N, _require_regular, count_components
 
-from conftest import independent_sets_of_size
+from conftest import graphs, independent_sets_of_size
 
 
 def path(n):
     return from_edge_list(n, [(i, i + 1) for i in range(n - 1)])
-
-
-def graphs(max_n=12):
-    """Hypothesis strategy for arbitrary simple graphs."""
-    return st.integers(1, max_n).flatmap(
-        lambda n: st.lists(
-            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
-                lambda e: e[0] != e[1]
-            ),
-            max_size=3 * n,
-        ).map(lambda edges: from_edge_list(n, edges))
-    )
 
 
 def vertex_subsets(g):

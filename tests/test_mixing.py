@@ -32,9 +32,9 @@ from toughlab.graph import from_edge_list
 from toughlab import mixing
 from toughlab.mixing import EXHAUSTIVE_MAX_N, _random_masks
 from toughlab.spectra import adjacency_matrix
-from toughlab.toughness import COMPONENT_BOUND_MAX_N
+from toughlab.toughness import COMPONENT_BOUND_MAX_N, _independence_number
 
-from conftest import independent_sets_of_size
+from conftest import independence_number, independent_sets_of_size
 
 
 def lam_of(g):
@@ -333,18 +333,13 @@ def test_component_bound_can_fail(g):
     assert not verify_component_bound(g, lam=lam_star * (1 - 1e-6))
 
 
-def independence_number(g):
-    """Brute-force alpha(G) over all 2^n vertex sets, independent of the scan."""
-    return max(mask.bit_count() for mask in range(1 << g.n)
-               if not any(mask >> v & 1 and g.adj[v] & mask for v in range(g.n)))
-
-
 @pytest.mark.parametrize("g", SCANNABLE_GRAPHS.values(), ids=SCANNABLE_GRAPHS.keys())
 def test_max_components_is_independence_number(g):
     # Each component of G - S holds a vertex, and one per component is an
     # independent set, so c(G-S) <= alpha; S = V - I for a maximum
     # independent set I leaves alpha singletons, a cut when alpha >= 2.
     alpha = independence_number(g)
+    assert _independence_number(g) == alpha
     assert max_components_over_cuts(g) == (alpha if alpha >= 2 else 0)
 
 

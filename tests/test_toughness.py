@@ -1,25 +1,32 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
 
 from toughlab import (
     VertexSet,
     exact_toughness,
+    max_components_over_cuts,
     naive_toughness,
     toughness_of_cut,
 )
+from toughlab import toughness
 from toughlab.errors import GraphTooLarge, PreconditionViolated
 from toughlab.families import (
     build,
     complete,
     complete_bipartite,
     cycle,
+    default_corpus,
     hypercube,
     parse_family_spec,
     petersen,
     random_regular,
 )
-from toughlab.graph import from_edge_list
+from toughlab.graph import count_components, from_edge_list, is_connected
+from toughlab.toughness import _independence_number, _subsets_of_size
+
+from conftest import graphs, independence_number
 
 
 def test_complete_graph_undefined():
@@ -108,3 +115,81 @@ def test_witness_determinism():
     a = exact_toughness(petersen())
     b = exact_toughness(petersen())
     assert a == b
+
+
+@pytest.mark.parametrize(
+    "scan, g, calls",
+    [
+        # The benchmark's traced self-test counts these two on Petersen.
+        (exact_toughness, petersen(), 638),
+        (max_components_over_cuts, petersen(), 1023),
+        # Without the alpha prune and the in-class stop: 6,476 and 39,203.
+        (exact_toughness, random_regular(14, 3, 46), 1471),
+        (exact_toughness, hypercube(4), 31612),
+    ],
+    ids=["petersen", "petersen_all_cuts", "rr_14_3_46", "hypercube_4"],
+)
+def test_one_count_components_call_per_mask(scan, g, calls, monkeypatch):
+    # The tracer counts enumerated masks by wrapping the module-global
+    # count_components, so every mask must go through it exactly once and
+    # nothing else in the scan (alpha, the connectivity check) may call it.
+    seen = 0
+    kernel = toughness.count_components
+
+    def counting(graph, mask):
+        nonlocal seen
+        seen += 1
+        return kernel(graph, mask)
+
+    monkeypatch.setattr(toughness, "count_components", counting)
+    scan(g)
+    assert seen == calls
+
+
+def _reference_scan(g):
+    """The size-class scan with neither alpha bound: every mask of every
+    class until s/(n - s) cannot beat the incumbent.  (t, c, witness bits)."""
+    n = g.n
+    best_s = best_c = best_mask = 0
+    for s in range(n - 1):
+        if best_c and s * best_c >= best_s * (n - s):
+            break
+        c, mask = 1, 0
+        for m in _subsets_of_size(n, s):
+            k = count_components(g, m)
+            if k > c:
+                c, mask = k, m
+        if c > 1 and (not best_c or s * best_c < best_s * c):
+            best_s, best_c, best_mask = s, c, mask
+    return (Fraction(best_s, best_c), best_c, best_mask) if best_c else None
+
+
+WITNESS_GRAPHS = {
+    spec.label().replace(" ", "_"): g
+    for spec, g in ((spec, build(spec)) for spec in default_corpus())
+    if g.n <= 14 and is_connected(g)
+}
+
+
+@pytest.mark.parametrize("g", WITNESS_GRAPHS.values(), ids=WITNESS_GRAPHS.keys())
+def test_alpha_prunes_keep_the_witness(g):
+    # The pinned analyze digests and the benchmark's witness check depend on
+    # the exact first-mask witness, not only on t and c.
+    result = exact_toughness(g)
+    got = result and (result.t, result.components, result.witness.bits)
+    assert got == _reference_scan(g)
+
+
+@pytest.mark.parametrize("d, witness", [(3, 0x34942), (4, 0x80AE)], ids=["d3", "d4"])
+def test_alpha_prunes_keep_the_witness_at_n18(d, witness):
+    g = random_regular(18, d, 1)
+    result = exact_toughness(g)
+    assert (result.t, result.components, result.witness.bits) == _reference_scan(g)
+    assert result.witness.bits == witness
+
+
+@given(graphs(14))
+@example(complete(1))
+@example(complete(2))
+def test_independence_number_matches_brute_force(g):
+    assert _independence_number(g) == independence_number(g)
