@@ -5,7 +5,7 @@ bitmask, so set intersections and edge counts reduce to ``&`` and
 ``int.bit_count``.  Everything here is pure and hashable.  A graph's fields
 never change after construction; a graph with at most ``HALF_TABLE_MAX_N``
 vertices also builds, on first use, a cached neighbourhood table that the
-component counter reads.  The table is not a field, so equality, hashing,
+component counter and ``_neighbourhood`` read.  The table is not a field, so equality, hashing,
 ``repr`` and the graph6 encoding ignore it.
 """
 
@@ -220,6 +220,20 @@ def count_components(g: Graph, removed_bits: int) -> int:
             rem ^= frontier
         count += 1
     return count
+
+
+def _neighbourhood(g: Graph, bits: int) -> int:
+    """N(S) for the vertex set S given by ``bits``: two table lookups for
+    n <= ``HALF_TABLE_MAX_N``, one adjacency row per vertex past it."""
+    if g.n > HALF_TABLE_MAX_N:
+        out = 0
+        while bits:
+            low = bits & -bits
+            out |= g.adj[low.bit_length() - 1]
+            bits ^= low
+        return out
+    w, low, lo, hi = g._half_tables
+    return lo[bits & low] | hi[bits >> w]
 
 
 def e_between(g: Graph, a: VertexSet, b: VertexSet) -> int:

@@ -1,7 +1,8 @@
+import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given, settings, strategies as st
 
 from toughlab import (
     VertexSet,
@@ -23,10 +24,10 @@ from toughlab.families import (
     petersen,
     random_regular,
 )
-from toughlab.graph import count_components, from_edge_list, is_connected
+from toughlab.graph import components, count_components, from_edge_list, is_connected
 from toughlab.toughness import _independence_number, _subsets_of_size
 
-from conftest import graphs, independence_number
+from conftest import graphs, independence_number, independent_sets_of_size
 
 
 def test_complete_graph_undefined():
@@ -125,7 +126,7 @@ def test_witness_determinism():
         (max_components_over_cuts, petersen(), 1023),
         # Without the alpha prune and the in-class stop: 6,476 and 39,203.
         (exact_toughness, random_regular(14, 3, 46), 1471),
-        (exact_toughness, hypercube(4), 31612),
+        (exact_toughness, hypercube(4), 13796),
     ],
     ids=["petersen", "petersen_all_cuts", "rr_14_3_46", "hypercube_4"],
 )
@@ -171,13 +172,109 @@ WITNESS_GRAPHS = {
 }
 
 
+# Separation questions each witness graph asks: only n = 14 classes, of up to
+# C(14, 7) = 3,432 masks, outgrow the scanned prefix.
+QUESTIONS = {
+    "random_regular_14_3_10": 1,
+    "random_regular_14_4_11": 4,
+    "random_regular_14_3_22": 1,
+    "random_regular_14_4_23": 4,
+    "random_regular_14_3_34": 2,
+    "random_regular_14_4_35": 3,
+    "random_regular_14_5_36": 3,
+    "random_regular_14_4_47": 3,
+}
+
+
 @pytest.mark.parametrize("g", WITNESS_GRAPHS.values(), ids=WITNESS_GRAPHS.keys())
-def test_alpha_prunes_keep_the_witness(g):
+def test_alpha_prunes_keep_the_witness(g, request, monkeypatch):
     # The pinned analyze digests and the benchmark's witness check depend on
     # the exact first-mask witness, not only on t and c.
+    asked = 0
+    question = toughness._separable
+
+    def counting(graph, q, s):
+        nonlocal asked
+        asked += 1
+        return question(graph, q, s)
+
+    monkeypatch.setattr(toughness, "_separable", counting)
     result = exact_toughness(g)
     got = result and (result.t, result.components, result.witness.bits)
     assert got == _reference_scan(g)
+    assert asked == QUESTIONS.get(request.node.callspec.id, 0)
+
+
+def _relabel(g, seed):
+    # The benchmark's frontier relabelling (bench/workloads.py), copied so
+    # that the tests do not import the benchmark.
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return from_edge_list(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+@pytest.mark.parametrize(
+    "n, d, seed, t, c, witness",
+    [
+        (18, 3, 42, Fraction(7, 6), 6, 203785),
+        (20, 3, 42, Fraction(9, 8), 8, 766002),
+        (18, 4, 42, Fraction(3, 2), 4, 5072),
+        (18, 3, 7, Fraction(7, 6), 6, 142612),
+        (20, 3, 7, Fraction(9, 8), 8, 986629),
+        (18, 4, 7, Fraction(3, 2), 4, 70220),
+    ],
+    ids=["rr18_3_seed42", "rr20_3_seed42", "rr18_4_seed42",
+         "rr18_3_seed7", "rr20_3_seed7", "rr18_4_seed7"],
+)
+def test_frontier_inputs_keep_the_witness(n, d, seed, t, c, witness):
+    # The benchmark's frontier graphs exactly as it writes them: after the
+    # relabelling, class maxima come late in their classes, so these runs
+    # take the question path and the resumed witness scan.
+    result = exact_toughness(_relabel(random_regular(n, d, 1), seed))
+    assert (result.t, result.components, result.witness.bits) == (t, c, witness)
+
+
+def _separated(g, terminals, removed):
+    """Does every component of G - removed hold at most one terminal?"""
+    return all((comp.bits & terminals).bit_count() <= 1
+               for comp in components(g, VertexSet(g.n, removed)))
+
+
+@settings(deadline=None)
+@given(graphs(12), st.integers(2, 4), st.data())
+def test_separation_search_matches_brute_force(g, q, data):
+    sets = independent_sets_of_size(g, q)
+    assume(sets)
+    terminals = data.draw(st.sampled_from(sets))
+    outside = ~terminals & (1 << g.n) - 1
+    least, removed = g.n, outside
+    while True:  # every subset of V - I, down to the empty set
+        if removed.bit_count() < least and _separated(g, terminals, removed):
+            least = removed.bit_count()
+        if not removed:
+            break
+        removed = (removed - 1) & outside
+    # W(I): the vertices with two or more neighbours in I.
+    w = 0
+    for v in range(g.n):
+        if outside >> v & 1 and (g.adj[v] & terminals).bit_count() >= 2:
+            w |= 1 << v
+    assert least >= w.bit_count()
+    for s in range(g.n - q + 1):
+        got = w.bit_count() <= s and toughness._separates(g, terminals, w, s - w.bit_count())
+        assert got == (least <= s), s
+
+
+@settings(deadline=None)
+@given(graphs(12))
+def test_separable_decides_the_class_maximum(g):
+    # For q <= min(n - s, alpha) the question is exactly "does some s-set S
+    # leave at least q components?".
+    alpha = independence_number(g)
+    for s in range(g.n):
+        best = max(count_components(g, m) for m in _subsets_of_size(g.n, s))
+        for q in range(2, min(g.n - s, alpha) + 1):
+            assert toughness._separable(g, q, s) == (best >= q), (s, q)
 
 
 @pytest.mark.parametrize("d, witness", [(3, 0x34942), (4, 0x80AE)], ids=["d3", "d4"])
