@@ -4,9 +4,10 @@ Vertices are labelled 0..n-1 and each adjacency row is a Python int used as a
 bitmask, so set intersections and edge counts reduce to ``&`` and
 ``int.bit_count``.  Everything here is pure and hashable.  A graph's fields
 never change after construction; a graph with at most ``HALF_TABLE_MAX_N``
-vertices also builds, on first use, a cached neighbourhood table that the
-component counter and ``_neighbourhood`` read.  The table is not a field, so equality, hashing,
-``repr`` and the graph6 encoding ignore it.
+vertices also builds, on first use, a cached neighbourhood table.  Only
+``_neighbourhood`` and the inline hot loop of ``count_components`` read it;
+every other walk asks ``_neighbourhood``.  The table is not a field, so
+equality, hashing, ``repr`` and the graph6 encoding ignore it.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ MAX_VERTICES = 64
 # Largest n whose graphs count components with the half tables of
 # ``Graph._half_tables``: 2^ceil(n/2) entries per table, 4096 at n = 24, the
 # default exact-toughness cap.  Past it the tables grow as 2^(n/2) while the
-# exhaustive searches no longer run by default, so larger graphs use a
-# per-vertex BFS.
+# exhaustive searches no longer run by default, so larger graphs take a
+# neighbourhood one adjacency row per vertex.
 HALF_TABLE_MAX_N = 24
 
 GRAPH6_HEADER = ">>graph6<<"
@@ -160,41 +161,17 @@ def _union_table(rows: tuple[int, ...]) -> list[int]:
 
 
 def _component_masks(g: Graph, avail: int) -> list[int]:
-    if g.n > HALF_TABLE_MAX_N:
-        return _component_masks_bfs(g.adj, avail)
-    # One step per BFS layer: the whole frontier's neighbourhood is two
-    # table lookups, and ``rest`` drops each layer as it is reached.
-    w, low, lo, hi = g._half_tables
+    # One step per BFS layer: ``rest`` drops each layer as it is reached.
     comps = []
     rem = avail
     while rem:
         frontier = rem & -rem
         rest = rem ^ frontier
         while frontier:
-            frontier = (lo[frontier & low] | hi[frontier >> w]) & rest
+            frontier = _neighbourhood(g, frontier) & rest
             rest ^= frontier
         comps.append(rem ^ rest)
         rem = rest
-    return comps
-
-
-def _component_masks_bfs(adj: tuple[int, ...], avail: int) -> list[int]:
-    comps = []
-    rem = avail
-    while rem:
-        comp = rem & -rem
-        frontier = comp
-        while frontier:
-            nxt = 0
-            f = frontier
-            while f:
-                low = f & -f
-                nxt |= adj[low.bit_length() - 1]
-                f ^= low
-            frontier = nxt & rem & ~comp
-            comp |= frontier
-        comps.append(comp)
-        rem &= ~comp
     return comps
 
 
@@ -203,13 +180,17 @@ def count_components(g: Graph, removed_bits: int) -> int:
 
     Mask-level fast path for the exhaustive searches: one call per cut, and
     the toughness search and its benchmark count cuts by counting these
-    calls.  For n <= ``HALF_TABLE_MAX_N`` it runs the half-table layer BFS of
-    ``_component_masks`` inline and only counts, building no list of
-    components; larger graphs walk the frontier vertex by vertex.
+    calls.  For n <= ``HALF_TABLE_MAX_N`` it runs the layer BFS of
+    ``_component_masks`` with the two table lookups of ``_neighbourhood``
+    written inline, and only counts.  This loop is the hot loop of every cut
+    scan, and the call costs almost as much as the BFS: over 150,000 size-9
+    masks of rr(20,3,1) on CPython 3.11 it took 0.36-0.38 s, against
+    0.67-0.70 s with one ``_neighbourhood`` call per layer.  Larger graphs
+    run no cut scan by default and take ``_component_masks``.
     """
     rem = ~removed_bits & (1 << g.n) - 1
     if g.n > HALF_TABLE_MAX_N:
-        return len(_component_masks_bfs(g.adj, rem))
+        return len(_component_masks(g, rem))
     w, low, lo, hi = g._half_tables
     count = 0
     while rem:

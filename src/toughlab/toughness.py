@@ -3,9 +3,9 @@
 This is the one module that enumerates vertex cuts.  Two independent code
 paths compute t: a pruned size-class search (the production route) and a
 naive all-subsets oracle that cross-validates it in the tests and computes
-the benchmark's golden frontier values (``bench/make_golden.py``).  The same
-size-class scan, unpruned, gives the largest component count over all cuts
-for the spectral component-count ceiling.  Ratios are exact
+the benchmark's golden frontier values (``bench/make_golden.py``).  One
+loop over all 2^n - 1 proper subsets gives the largest component count over
+all cuts for the spectral component-count ceiling.  Ratios are exact
 ``fractions.Fraction`` values; floats would make ties ambiguous.
 
 The search prunes with the independence number alpha: one vertex per
@@ -260,18 +260,15 @@ def naive_toughness(g: Graph) -> ToughnessResult | None:
 def max_components_over_cuts(g: Graph) -> int:
     """Largest c(G-S) over all proper S that disconnect the graph; 0 if none.
 
-    Unlike ``exact_toughness`` it stops no class at alpha: its cap n is
-    reached only by the empty cut of an edgeless graph, the one mask of its
-    class.  So it makes one ``count_components`` call for each of the 2^n - 1
-    proper subsets, the cut count that the benchmark's traced self-test
-    expects (1023 on Petersen).
+    Unlike ``exact_toughness`` it prunes nothing: one ``count_components``
+    call for each of the 2^n - 1 proper subsets, the cut count that the
+    benchmark's traced self-test expects (1023 on Petersen).
     """
     if g.n > COMPONENT_BOUND_MAX_N:
         raise GraphTooLarge(
             f"cut enumeration on n={g.n} exceeds the cap {COMPONENT_BOUND_MAX_N}"
         )
-    best = max((_class_max(g, _subsets_of_size(g.n, s), g.n)[0] for s in range(g.n)),
-               default=1)
+    best = max((count_components(g, mask) for mask in range((1 << g.n) - 1)), default=0)
     return best if best >= 2 else 0
 
 

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from toughlab import (
     VertexSet,
@@ -152,18 +152,30 @@ def union_find_groups(g, keep):
     return sorted(map(sorted, groups.values()))
 
 
+def two_cycles(n):
+    """The even and the odd vertices of 0..n-1, each a cycle: disconnected,
+    and both cycles cross the halves of the neighbourhood table."""
+    closing = [(0, range(0, n, 2)[-1]), (1, range(1, n, 2)[-1])]
+    return from_edge_list(n, [(v, v + 2) for v in range(n - 2)] + closing)
+
+
 class TestComponentKernel:
-    @given(graphs(HALF_TABLE_MAX_N + 6), st.data())
-    def test_matches_union_find(self, g, data):
-        # n up to 30 crosses the switch from the half-table kernel to the
-        # per-vertex BFS at HALF_TABLE_MAX_N.
-        removed = data.draw(vertex_subsets(g))
+    @given(graphs(HALF_TABLE_MAX_N + 6).flatmap(
+        lambda g: vertex_subsets(g).map(lambda removed: (g, removed))))
+    @example((two_cycles(HALF_TABLE_MAX_N), VertexSet.of(HALF_TABLE_MAX_N, [0, 1, 12])))
+    @example((two_cycles(HALF_TABLE_MAX_N + 1), VertexSet.of(HALF_TABLE_MAX_N + 1, [0, 1, 12])))
+    def test_matches_union_find(self, case):
+        # n up to 30 crosses the switch from the half tables to one
+        # adjacency row per vertex at HALF_TABLE_MAX_N; the examples sit on
+        # both sides of it on every run.
+        g, removed = case
         expected = union_find_groups(g, removed.complement().bits)
         comps = components(g, removed)
         assert sorted(list(c) for c in comps) == expected
         assert count_components(g, removed.bits) == len(expected)
         for c in comps:
             assert len(union_find_groups(g, c.bits)) == 1
+        assert is_connected(g) == (len(union_find_groups(g, (1 << g.n) - 1)) == 1)
 
 
 class TestEdgeCounters:

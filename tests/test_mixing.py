@@ -347,6 +347,9 @@ def test_component_bound_attained():
     assert max_components_over_cuts(petersen()) == 4
     assert max_components_over_cuts(cycle(6)) == 3
     assert max_components_over_cuts(complete(4)) == 0
+    assert max_components_over_cuts(from_edge_list(0, [])) == 0
+    assert max_components_over_cuts(complete(1)) == 0
+    assert max_components_over_cuts(from_edge_list(3, [])) == 3
 
 
 def test_component_bound_cap():

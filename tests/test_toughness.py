@@ -124,11 +124,14 @@ def test_witness_determinism():
         # The benchmark's traced self-test counts these two on Petersen.
         (exact_toughness, petersen(), 638),
         (max_components_over_cuts, petersen(), 1023),
+        (max_components_over_cuts, cycle(6), 63),
+        (max_components_over_cuts, from_edge_list(3, []), 7),
         # Without the alpha prune and the in-class stop: 6,476 and 39,203.
         (exact_toughness, random_regular(14, 3, 46), 1471),
         (exact_toughness, hypercube(4), 13796),
     ],
-    ids=["petersen", "petersen_all_cuts", "rr_14_3_46", "hypercube_4"],
+    ids=["petersen", "petersen_all_cuts", "cycle_6_all_cuts", "edgeless_3_all_cuts",
+         "rr_14_3_46", "hypercube_4"],
 )
 def test_one_count_components_call_per_mask(scan, g, calls, monkeypatch):
     # The tracer counts enumerated masks by wrapping the module-global
