@@ -20,6 +20,7 @@ from .graph import (
     from_edge_list,
     is_connected,
     parse_edge_list,
+    parse_graph,
     parse_graph6,
     regularity,
 )

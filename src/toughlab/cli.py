@@ -18,7 +18,7 @@ from typing import Callable
 
 from . import families
 from .bounds import verify_theorem
-from .errors import GraphError, PreconditionViolated, ToughlabError
+from .errors import PreconditionViolated, ToughlabError
 from .graph import (
     Graph,
     VertexSet,
@@ -26,8 +26,7 @@ from .graph import (
     emit_edge_list,
     emit_graph6,
     is_connected,
-    parse_edge_list,
-    parse_graph6,
+    parse_graph,
     regularity,
 )
 from .mixing import (
@@ -92,20 +91,7 @@ def _report_json(obj: object) -> object:
 
 
 def _read_graph(path: str) -> Graph:
-    text = sys.stdin.read() if path == "-" else Path(path).read_text()
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    first = lines[0] if lines else ""
-    parts = first.split()
-    looks_like_edgelist = len(parts) == 2 and all(
-        p.lstrip("-").isdigit() for p in parts
-    )
-    if looks_like_edgelist:
-        return parse_edge_list(text)
-    if len(lines) > 1:
-        raise GraphError(
-            f"{len(lines)} graph6 lines in {path}; analyze reads exactly one graph"
-        )
-    return parse_graph6(first)
+    return parse_graph(sys.stdin.read() if path == "-" else Path(path).read_text())
 
 
 def cmd_gen(args: argparse.Namespace) -> int:

@@ -372,3 +372,16 @@ def parse_edge_list(text: str) -> Graph:
                 raise GraphError(f"repeated edge {u} {v}")
             seen.update([(u, v), (v, u)])
     return g
+
+
+def parse_graph(text: str) -> Graph:
+    """Decode an edge list if the first nonblank line is two integers (its
+    "n m" header), and otherwise exactly one graph6 line."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    first = lines[0] if lines else ""
+    parts = first.split()
+    if len(parts) == 2 and all(p.lstrip("-").isdigit() for p in parts):
+        return parse_edge_list(text)
+    if len(lines) > 1:
+        raise GraphError(f"{len(lines)} graph6 lines; expected exactly one graph")
+    return parse_graph6(first)

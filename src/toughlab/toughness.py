@@ -8,17 +8,18 @@ loop over all 2^n - 1 proper subsets gives the largest component count over
 all cuts for the spectral component-count ceiling.  Ratios are exact
 ``fractions.Fraction`` values; floats would make ties ambiguous.
 
-The search prunes with the independence number alpha: one vertex per
-component of G-S is an independent set, so c(G-S) <= min(n - s, alpha) when
-|S| = s.  The same fact turns a large size class into yes/no questions: some
+The search rests on one fact: one vertex per component of G-S is an
+independent set.  So c(G-S) <= min(n - s, alpha) when |S| = s, and some
 s-set leaves at least q <= min(n - s, alpha) components exactly when at most
 s vertices outside some independent q-set I separate its vertices from each
 other (pad the separator with vertices outside I; deleting a vertex never
-merges components).  A bounded branching search on shortest paths between
-vertices of I answers each question, so only a prefix of such a class is
-scanned, and the rest only in the one class that holds the witness.  Every
-enumerated mask costs exactly one ``count_components`` call, and the
-questions make none; the benchmark counts cuts by counting those calls.
+merges components).  One kernel, ``_independent_sets``, enumerates the
+independent sets for both uses: alpha, and the yes/no questions that decide
+a large size class, each answered by a bounded branching search on shortest
+paths between vertices of I.  So only a prefix of such a class is scanned,
+and the rest only in the one class that holds the witness.  Every
+enumerated mask costs exactly one ``count_components`` call, and alpha and
+the questions make none; the benchmark counts cuts by counting those calls.
 """
 
 from __future__ import annotations
@@ -64,23 +65,38 @@ def _subsets_of_size(n: int, k: int) -> Iterator[int]:
         mask = ((ripple ^ mask) >> 2) // low | ripple
 
 
-def _independence_number(g: Graph) -> int:
-    """alpha(G) by bitset branch and bound: take or drop the lowest candidate,
-    and cut a branch once it cannot beat the best set found."""
-    best = 0
+def _independent_sets(g: Graph, q: int, s: int) -> Iterator[tuple[int, int]]:
+    """Every independent q-set I with |W(I)| <= s, as bitmasks (I, W(I)),
+    where W(I) holds the vertices with two or more neighbours in I.
 
-    def grow(size: int, cand: int) -> None:
-        nonlocal best
-        while cand:
-            if size + cand.bit_count() <= best:
-                return
+    Take or drop the lowest candidate; cut a branch once too few candidates
+    remain to reach q, or once |W| > s, as W only grows with I.
+    """
+    adj = g.adj
+
+    def grow(size: int, cand: int, chosen: int, once: int,
+             twice: int) -> Iterator[tuple[int, int]]:
+        if size == q:
+            yield chosen, twice
+            return
+        while cand and size + cand.bit_count() >= q:
             low = cand & -cand
             cand ^= low
-            grow(size + 1, cand & ~g.adj[low.bit_length() - 1])
-        best = max(best, size)
+            row = adj[low.bit_length() - 1]
+            w = twice | once & row
+            if w.bit_count() <= s:
+                yield from grow(size + 1, cand & ~row, chosen | low, once | row, w)
 
-    grow(0, (1 << g.n) - 1)
-    return best
+    return grow(0, (1 << g.n) - 1, 0, 0, 0)
+
+
+def _independence_number(g: Graph) -> int:
+    """alpha(G): the largest q for which ``_independent_sets`` finds an
+    independent q-set; with s = n its W bound never cuts a branch."""
+    q = 0
+    while next(_independent_sets(g, q + 1, g.n), None):
+        q += 1
+    return q
 
 
 def _class_max(g: Graph, masks: Iterator[int], cap: int) -> tuple[int, int]:
@@ -166,24 +182,10 @@ def _separable(g: Graph, q: int, s: int) -> bool:
     """Is there an independent q-set I and a set S of at most s vertices
     outside I that leaves each vertex of I in its own component of G - S?
 
-    S must hold W(I), the vertices with two or more neighbours in I, and W
-    only grows as I grows, so a partial I is dropped once |W| > s.
+    S must hold W(I), so ``_separates`` is asked of each (I, W(I)) that
+    ``_independent_sets`` yields for this s.
     """
-    adj = g.adj
-
-    def grow(size: int, cand: int, chosen: int, once: int, twice: int) -> bool:
-        if size == q:
-            return _separates(g, chosen, twice, s - twice.bit_count())
-        while cand and size + cand.bit_count() >= q:
-            low = cand & -cand
-            cand ^= low
-            row = adj[low.bit_length() - 1]
-            w = twice | once & row
-            if w.bit_count() <= s and grow(size + 1, cand & ~row, chosen | low, once | row, w):
-                return True
-        return False
-
-    return grow(0, (1 << g.n) - 1, 0, 0, 0)
+    return any(_separates(g, i, w, s - w.bit_count()) for i, w in _independent_sets(g, q, s))
 
 
 def exact_toughness(g: Graph, max_n: int = DEFAULT_MAX_N) -> ToughnessResult | None:
@@ -204,11 +206,8 @@ def exact_toughness(g: Graph, max_n: int = DEFAULT_MAX_N) -> ToughnessResult | N
     strictly beats the incumbent, ``_separable`` is asked for
     q = max(b + 1, need), then q + 1, and so on while it says yes and q <= cap;
     the last yes, or b if the first answer is no, is the class maximum.  The
-    answers are exact: an s-set S with c(G-S) >= q gives an independent
-    q-set, one vertex per component, that S separates; conversely, a
-    separating set of at most s vertices outside I can be padded to exactly
-    s vertices outside I, as q <= n - s leaves room, and deleting a vertex
-    never merges components.  No prune skips a class or mask holding a
+    answers are exact by the fact in the module docstring, as q <= n - s
+    leaves room to pad a separator.  No prune skips a class or mask holding a
     strictly better ratio, so the witness is the first mask, in enumeration
     order, attaining the minimum.  It lies in the last class that improved
     the incumbent; if that class's prefix fell short of its maximum, the scan

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import os
 import random
@@ -11,7 +12,7 @@ import pytest
 
 from toughlab.cli import main
 from toughlab.errors import GraphTooLarge
-from toughlab.families import kneser, petersen, random_regular
+from toughlab.families import complete, kneser, petersen, random_regular
 from toughlab.graph import VertexSet, emit_edge_list, emit_graph6, from_edge_list
 from toughlab.toughness import toughness_of_cut
 
@@ -45,6 +46,9 @@ class TestGen:
         ("random_regular 2000000 3 1", "n=2000000 outside 0..64"),
         ("random_regular 4 1 0", "no valid (4,1)-regular graph in 1000 attempts"),
         ("random_regular 12 3 -7", "random_regular needs seed >= 0, got -7"),
+        ("complete_bipartite 0 0", "complete_bipartite needs a >= 1, got 0"),
+        ("circulant 2 1", "circulant needs n >= 3, got 2"),
+        ("random_regular 4 4 1", "need 0 <= d < n, got d=4, n=4"),
     ])
     def test_family_error_exit_2(self, capsys, params, message):
         code, out, err = run(capsys, "gen", *params.split())
@@ -177,6 +181,26 @@ class TestAnalyze:
         assert err.startswith("error: lambda must be positive")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("make_input", [
+        lambda g: emit_graph6(g) + "\n", emit_edge_list], ids=["graph6", "edgelist"])
+    def test_reads_stdin(self, capsys, monkeypatch, make_input):
+        monkeypatch.setattr("sys.stdin", io.StringIO(make_input(petersen())))
+        code, out, _ = run(capsys, "analyze", "-", "--toughness")
+        assert code == 0
+        report = json.loads(out)
+        assert (report["graph_meta"]["n"], report["graph_meta"]["m"]) == (10, 15)
+        assert report["toughness"]["t"] == {"num": 4, "den": 3}
+
+    def test_partition_of_complete_graph_records_undefined_toughness(self, capsys,
+                                                                     tmp_path):
+        path = tmp_path / "k5.g6"
+        path.write_text(emit_graph6(complete(5)) + "\n")
+        code, out, _ = run(capsys, "analyze", str(path), "--toughness", "--partition")
+        assert code == 0
+        report = json.loads(out)
+        assert report["toughness"] == {"undefined": True}
+        assert report["partition"] == {"precondition_failed": "toughness undefined"}
+
     def test_single_vertex_toughness_undefined(self, capsys, tmp_path):
         # K1 is connected and no proper cut disconnects it, as for every
         # complete graph.
@@ -290,6 +314,15 @@ def test_samples_out_of_range_exit_2(capsys, petersen_file, command, samples):
     code, out, err = run(capsys, command, *argv, "--samples", samples)
     assert code == 2 and out == ""
     assert f"--samples: {samples} is outside 1..10000000" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["analyze", "verify-corpus"])
+def test_non_integer_samples_exit_2(capsys, petersen_file, command):
+    argv = [petersen_file, "--mixing", "sampled"] if command == "analyze" else []
+    code, out, err = run(capsys, command, *argv, "--samples", "abc")
+    assert code == 2 and out == ""
+    assert "--samples: 'abc' is not an integer" in err
     assert "Traceback" not in err
 
 

@@ -115,6 +115,8 @@ def test_family_spec_parsing_and_build():
         build(parse_family_spec("frobnicate 3"))
     with pytest.raises(InvalidParams):
         parse_family_spec("cycle x")
+    with pytest.raises(InvalidParams, match="empty family spec"):
+        parse_family_spec("")
 
 
 @pytest.mark.parametrize("spec", [

@@ -5,16 +5,19 @@ from toughlab import (
     VertexSet,
     components,
     e_between,
+    emit_edge_list,
     emit_graph6,
     from_edge_list,
     is_connected,
     parse_edge_list,
+    parse_graph,
     parse_graph6,
     regularity,
 )
 from toughlab.errors import GraphError, PreconditionViolated
 from toughlab.families import cycle, complete, kneser, petersen
 from toughlab.graph import HALF_TABLE_MAX_N, _require_regular, count_components
+from toughlab.toughness import toughness_of_cut
 
 from conftest import graphs, independent_sets_of_size
 
@@ -87,8 +90,21 @@ class TestGraph6:
             parse_graph6("Bww")
 
     @given(graphs())
+    @example(cycle(62))  # the largest one-character size
+    @example(from_edge_list(64, []))  # the vertex cap, in the long size form
     def test_round_trip_random(self, g):
         assert parse_graph6(emit_graph6(g)) == g
+
+    @pytest.mark.parametrize("line, message", [
+        ("", "empty graph6 line"),
+        (">>graph6<<", "empty graph6 line"),
+        ("~~", "36-bit size form exceeds the vertex cap"),
+        ("~?", "truncated graph6 size field"),
+        ("~?A?", "graph6 line encodes n=128 > 64"),
+    ], ids=["empty", "header_only", "36_bit_size", "truncated_size", "long_size_above_cap"])
+    def test_bad_line_rejected(self, line, message):
+        with pytest.raises(GraphError, match=message):
+            parse_graph6(line)
 
     def test_nonzero_padding_rejected(self):
         # K3 needs 3 of the 6 body bits; 'w' pads with 000, '~' with 111
@@ -105,6 +121,61 @@ class TestEdgeList:
     def test_repeated_edge_rejected(self):
         with pytest.raises(GraphError, match="repeated edge 1 0"):
             parse_edge_list("3 2\n0 1\n1 0\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty edge-list input"),
+        (" \n\n", "empty edge-list input"),
+        ("3\n", "bad header line '3', expected 'n m'"),
+        ("3 x\n", "non-integer header '3 x'"),
+        ("3 2\n0 1\n", "expected 2 edge lines, got 1"),
+        ("3 1\n0 1 2\n", "bad edge line '0 1 2'"),
+        ("3 1\n0 x\n", "non-integer edge line '0 x'"),
+    ], ids=["empty", "blank", "bad_header", "non_integer_header", "wrong_line_count",
+            "bad_edge_line", "non_integer_edge_line"])
+    def test_bad_input_rejected(self, text, message):
+        with pytest.raises(GraphError, match=message):
+            parse_edge_list(text)
+
+    @given(graphs())
+    @example(from_edge_list(0, []))
+    @example(from_edge_list(64, [(0, 63)]))
+    def test_round_trip_random(self, g):
+        assert parse_edge_list(emit_edge_list(g)) == g
+
+
+class TestParseGraph:
+    def test_detects_the_format(self):
+        p = petersen()
+        assert parse_graph(emit_graph6(p) + "\n") == p
+        assert parse_graph(emit_edge_list(p)) == p
+        # An edge list's header may follow blank lines.
+        assert parse_graph("\n\n3 1\n0 2\n") == from_edge_list(3, [(0, 2)])
+
+    def test_empty_input_is_an_empty_graph6_line(self):
+        with pytest.raises(GraphError, match="empty graph6 line"):
+            parse_graph(" \n")
+
+
+class TestVertexSet:
+    @pytest.mark.parametrize("make, error, message", [
+        (lambda: VertexSet(65), GraphError, r"ambient size 65 outside 0\.\.64"),
+        (lambda: VertexSet(3, 8), ValueError, r"bits 0x8 not contained in 0\.\.2"),
+        (lambda: VertexSet.of(3, [3]), GraphError, r"vertex 3 outside 0\.\.2"),
+        (lambda: VertexSet(2) | VertexSet(3), ValueError, "ambient size mismatch: 2 vs 3"),
+    ], ids=["ambient_above_cap", "bits_outside", "vertex_outside", "union_across_sizes"])
+    def test_bad_construction_rejected(self, make, error, message):
+        with pytest.raises(error, match=message):
+            make()
+
+    @pytest.mark.parametrize("check, message", [
+        (components, "removed set has wrong ambient size"),
+        (lambda g, s: e_between(g, s, VertexSet(5)), "vertex set has wrong ambient size"),
+        (lambda g, s: e_between(g, VertexSet(5), s), "vertex set has wrong ambient size"),
+        (toughness_of_cut, "cut set has wrong ambient size"),
+    ], ids=["components", "e_between_a", "e_between_b", "toughness_of_cut"])
+    def test_wrong_ambient_size_rejected(self, check, message):
+        with pytest.raises(ValueError, match=message):
+            check(cycle(5), VertexSet.of(6, [0]))
 
 
 class TestComponents:
@@ -231,6 +302,9 @@ class TestEdgeCounters:
 class TestRegularityConnectivity:
     def test_cycle_regular(self):
         assert regularity(cycle(7)) == 2
+
+    def test_empty_graph_regular_of_degree_0(self):
+        assert regularity(from_edge_list(0, [])) == 0
 
     def test_path_not_regular(self):
         assert regularity(path(3)) is None

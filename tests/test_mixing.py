@@ -223,6 +223,12 @@ def test_sampled_verify_and_determinism():
     assert (c.a, c.b) != (d.a, d.b)
 
 
+def test_sampled_verify_refuses_no_samples():
+    g = cycle(12)
+    with pytest.raises(ValueError, match="samples must be at least 1"):
+        sampled_mixing_verify(g, 0, 1, lam_of(g))
+
+
 def test_sampled_verify_refuses_negative_seed():
     # random.Random(-7) replays seed 7, so -7 would name seed 7's pairs.
     g = cycle(12)

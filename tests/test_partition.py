@@ -79,6 +79,10 @@ class TestIndexSubset:
         with pytest.raises(PreconditionViolated):
             index_subset([0, 1], 1)
 
+    def test_empty_sizes_rejected(self):
+        with pytest.raises(PreconditionViolated, match="sizes must be nonempty"):
+            index_subset([], 0)
+
     @pytest.mark.parametrize("c", range(1, 7))
     def test_exhaustive_against_oracle(self, c):
         for xs in ascending_vectors(c, 2 * c - 1):

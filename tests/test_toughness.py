@@ -237,6 +237,11 @@ def test_frontier_inputs_keep_the_witness(n, d, seed, t, c, witness):
     assert (result.t, result.components, result.witness.bits) == (t, c, witness)
 
 
+def _w(g, terminals):
+    """W(I): the vertices with two or more neighbours in I."""
+    return sum(1 << v for v in range(g.n) if (g.adj[v] & terminals).bit_count() >= 2)
+
+
 def _separated(g, terminals, removed):
     """Does every component of G - removed hold at most one terminal?"""
     return all((comp.bits & terminals).bit_count() <= 1
@@ -257,11 +262,7 @@ def test_separation_search_matches_brute_force(g, q, data):
         if not removed:
             break
         removed = (removed - 1) & outside
-    # W(I): the vertices with two or more neighbours in I.
-    w = 0
-    for v in range(g.n):
-        if outside >> v & 1 and (g.adj[v] & terminals).bit_count() >= 2:
-            w |= 1 << v
+    w = _w(g, terminals)
     assert least >= w.bit_count()
     for s in range(g.n - q + 1):
         got = w.bit_count() <= s and toughness._separates(g, terminals, w, s - w.bit_count())
@@ -289,7 +290,21 @@ def test_alpha_prunes_keep_the_witness_at_n18(d, witness):
 
 
 @given(graphs(14))
+@example(from_edge_list(0, []))
 @example(complete(1))
 @example(complete(2))
 def test_independence_number_matches_brute_force(g):
     assert _independence_number(g) == independence_number(g)
+
+
+@settings(deadline=None)
+@given(graphs(12))
+@example(from_edge_list(0, []))
+def test_independent_sets_match_brute_force(g):
+    # The one kernel behind alpha and the separation questions: exactly the
+    # independent q-sets I with |W(I)| <= s, each once, with W(I).
+    for q in range(1, g.n + 2):
+        pairs = [(i, _w(g, i)) for i in independent_sets_of_size(g, q)]
+        for s in range(g.n + 1):
+            got = list(toughness._independent_sets(g, q, s))
+            assert sorted(got) == sorted(p for p in pairs if p[1].bit_count() <= s), (q, s)
