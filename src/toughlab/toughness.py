@@ -16,17 +16,16 @@ other (pad the separator with vertices outside I; deleting a vertex never
 merges components).  One kernel, ``_independent_sets``, enumerates the
 independent sets for both uses: alpha, and the yes/no questions that decide
 a large size class, each answered by a bounded branching search on shortest
-paths between vertices of I.  So only a prefix of such a class is scanned,
-and the rest only in the one class that holds the witness.  Every
-enumerated mask costs exactly one ``count_components`` call, and alpha and
-the questions make none; the benchmark counts cuts by counting those calls.
+paths between vertices of I.  So no mask of such a class is scanned unless
+it holds the witness, and then only up to the witness.  Every enumerated
+mask costs exactly one ``count_components`` call, and alpha and the
+questions make none; the benchmark counts cuts by counting those calls.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 from math import comb
 from typing import Iterator
 
@@ -35,11 +34,11 @@ from .graph import Graph, VertexSet, _neighbourhood, _require_connected, count_c
 
 # Past this the subset space is no longer a desk-scale computation.
 DEFAULT_MAX_N = 24
-# A size class with more masks than this is scanned only this far; questions
-# to ``_separable`` decide the rest.  Petersen's largest class has
-# C(10, 5) = 252 masks, so its scans stay whole, and with them the benchmark's
-# self-test count of 638 masks; every class up to n = 13 does too.
-PREFIX_MASKS = 2000
+# A size class with at most this many masks is scanned whole; questions to
+# ``_separable`` alone decide a larger one.  Petersen's largest class has
+# C(10, 5) = 252 masks, so its classes stay scanned, and with them the
+# benchmark's self-test count of 638 masks; every class up to n = 13 does too.
+CLASS_SCAN_MAX = 2000
 # The unpruned scan counts components for all 2^n - 1 proper subsets.
 COMPONENT_BOUND_MAX_N = 12
 
@@ -99,16 +98,16 @@ def _independence_number(g: Graph) -> int:
     return q
 
 
-def _class_max(g: Graph, masks: Iterator[int], cap: int) -> tuple[int, int]:
-    """Largest c(G-S) over the masks S of ``masks``, taken in order, and the
-    first mask reaching it; ``(1, 0)`` when none of them disconnects G.
+def _class_max(g: Graph, s: int, cap: int) -> tuple[int, int]:
+    """Largest c(G-S) over the s-sets S, taken in ascending mask order, and
+    the first mask reaching it; ``(1, 0)`` when none of them disconnects G.
 
     The scan returns at the first mask whose count reaches ``cap``, which
     must bound every count in the class; that mask is then the first one
     attaining the class maximum.
     """
     best_c, best_mask = 1, 0
-    for mask in masks:
+    for mask in _subsets_of_size(g.n, s):
         c = count_components(g, mask)
         if c > best_c:
             best_c, best_mask = c, mask
@@ -201,18 +200,17 @@ def exact_toughness(g: Graph, max_n: int = DEFAULT_MAX_N) -> ToughnessResult | N
     cap, and the search stops at the first class where s/cap can no longer
     beat the incumbent; cap never grows with s, so no later class can either.
 
-    A class still unfinished after ``PREFIX_MASKS`` masks is scanned no
-    further.  With b the prefix's best count and need the least c that
-    strictly beats the incumbent, ``_separable`` is asked for
-    q = max(b + 1, need), then q + 1, and so on while it says yes and q <= cap;
-    the last yes, or b if the first answer is no, is the class maximum.  The
-    answers are exact by the fact in the module docstring, as q <= n - s
-    leaves room to pad a separator.  No prune skips a class or mask holding a
-    strictly better ratio, so the witness is the first mask, in enumeration
-    order, attaining the minimum.  It lies in the last class that improved
-    the incumbent; if that class's prefix fell short of its maximum, the scan
-    resumes where the prefix stopped and returns at the first mask reaching
-    it.
+    A class of more than ``CLASS_SCAN_MAX`` masks is not scanned.  With need
+    the least c that strictly beats the incumbent (2 without one),
+    ``_separable`` is asked for q = need, then need + 1, and so on while it
+    says yes and q <= cap; the last yes is the class maximum, and a first no
+    means the class cannot improve.  The answers are exact by the fact in
+    the module docstring, as q <= n - s leaves room to pad a separator.  No
+    prune skips a class or mask holding a strictly better ratio, so the
+    witness is the first mask, in enumeration order, attaining the minimum.
+    It lies in the last class that improved the incumbent; if questions
+    decided that class, one scan from its first mask returns at the first
+    mask reaching its maximum.
     """
     if g.n > max_n:
         raise GraphTooLarge(
@@ -223,25 +221,23 @@ def exact_toughness(g: Graph, max_n: int = DEFAULT_MAX_N) -> ToughnessResult | N
     n = g.n
     alpha = _independence_number(g)
     best_s = best_c = best_mask = 0
-    rest = None  # the incumbent class's unscanned masks, while its witness is unknown
     for s in range(0, n - 1):
         cap = min(n - s, alpha)
         if best_c and s * best_c >= best_s * cap:
             break
-        masks = _subsets_of_size(n, s)
-        b, mask = _class_max(g, islice(masks, PREFIX_MASKS), cap)
-        c = b
-        if b < cap and comb(n, s) > PREFIX_MASKS:
-            q = max(b + 1, s * best_c // best_s + 1 if best_c else 2)
+        if comb(n, s) <= CLASS_SCAN_MAX:
+            c, mask = _class_max(g, s, cap)
+        else:
+            c, mask = 1, 0  # the empty set never disconnects G: 0 means not found yet
+            q = s * best_c // best_s + 1 if best_c else 2
             while q <= cap and _separable(g, q, s):
                 c, q = q, q + 1
         if c > 1 and (not best_c or s * best_c < best_s * c):
             best_s, best_c, best_mask = s, c, mask
-            rest = masks if c > b else None
     if not best_c:
         return None
-    if rest is not None:
-        best_mask = _class_max(g, rest, best_c)[1]
+    if not best_mask:
+        best_mask = _class_max(g, best_s, best_c)[1]
     return ToughnessResult(Fraction(best_s, best_c), VertexSet(n, best_mask), best_c)
 
 

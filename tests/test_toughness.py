@@ -118,6 +118,20 @@ def test_witness_determinism():
     assert a == b
 
 
+def _count_calls(monkeypatch, name):
+    """Wrap ``toughness.<name>`` to count its calls; the count is item 0 of
+    the returned list."""
+    seen = [0]
+    kernel = getattr(toughness, name)
+
+    def counting(*args):
+        seen[0] += 1
+        return kernel(*args)
+
+    monkeypatch.setattr(toughness, name, counting)
+    return seen
+
+
 @pytest.mark.parametrize(
     "scan, g, calls",
     [
@@ -128,7 +142,7 @@ def test_witness_determinism():
         (max_components_over_cuts, from_edge_list(3, []), 7),
         # Without the alpha prune and the in-class stop: 6,476 and 39,203.
         (exact_toughness, random_regular(14, 3, 46), 1471),
-        (exact_toughness, hypercube(4), 13796),
+        (exact_toughness, hypercube(4), 7796),
     ],
     ids=["petersen", "petersen_all_cuts", "cycle_6_all_cuts", "edgeless_3_all_cuts",
          "rr_14_3_46", "hypercube_4"],
@@ -137,17 +151,9 @@ def test_one_count_components_call_per_mask(scan, g, calls, monkeypatch):
     # The tracer counts enumerated masks by wrapping the module-global
     # count_components, so every mask must go through it exactly once and
     # nothing else in the scan (alpha, the connectivity check) may call it.
-    seen = 0
-    kernel = toughness.count_components
-
-    def counting(graph, mask):
-        nonlocal seen
-        seen += 1
-        return kernel(graph, mask)
-
-    monkeypatch.setattr(toughness, "count_components", counting)
+    seen = _count_calls(monkeypatch, "count_components")
     scan(g)
-    assert seen == calls
+    assert seen[0] == calls
 
 
 def _reference_scan(g):
@@ -168,24 +174,36 @@ def _reference_scan(g):
     return (Fraction(best_s, best_c), best_c, best_mask) if best_c else None
 
 
+# The corpus graphs up to n = 14, and four n = 16 graphs whose many large
+# classes the reference scan still covers in under 0.1 s each.  The
+# cocktail-party circulant answers no in all seven of its large classes and
+# takes its witness from class 14, which is scanned.
 WITNESS_GRAPHS = {
     spec.label().replace(" ", "_"): g
     for spec, g in ((spec, build(spec)) for spec in default_corpus())
     if g.n <= 14 and is_connected(g)
+} | {
+    spec.replace(" ", "_"): build(parse_family_spec(spec))
+    for spec in ("hypercube 4", "circulant 16 1 2 3 4 5 6 7", "circulant 16 1 4",
+                 "random_regular 16 5 1")
 }
 
 
-# Separation questions each witness graph asks: only n = 14 classes, of up to
-# C(14, 7) = 3,432 masks, outgrow the scanned prefix.
+# Separation questions each witness graph asks: only classes of more than
+# CLASS_SCAN_MAX masks ask any, which first happens at n = 14, in C(14, 7) = 3,432.
 QUESTIONS = {
     "random_regular_14_3_10": 1,
-    "random_regular_14_4_11": 4,
+    "random_regular_14_4_11": 5,
     "random_regular_14_3_22": 1,
-    "random_regular_14_4_23": 4,
-    "random_regular_14_3_34": 2,
-    "random_regular_14_4_35": 3,
-    "random_regular_14_5_36": 3,
-    "random_regular_14_4_47": 3,
+    "random_regular_14_4_23": 7,
+    "random_regular_14_3_34": 5,
+    "random_regular_14_4_35": 5,
+    "random_regular_14_5_36": 7,
+    "random_regular_14_4_47": 5,
+    "hypercube_4": 8,
+    "circulant_16_1_2_3_4_5_6_7": 7,
+    "circulant_16_1_4": 6,
+    "random_regular_16_5_1": 9,
 }
 
 
@@ -193,19 +211,11 @@ QUESTIONS = {
 def test_alpha_prunes_keep_the_witness(g, request, monkeypatch):
     # The pinned analyze digests and the benchmark's witness check depend on
     # the exact first-mask witness, not only on t and c.
-    asked = 0
-    question = toughness._separable
-
-    def counting(graph, q, s):
-        nonlocal asked
-        asked += 1
-        return question(graph, q, s)
-
-    monkeypatch.setattr(toughness, "_separable", counting)
+    asked = _count_calls(monkeypatch, "_separable")
     result = exact_toughness(g)
     got = result and (result.t, result.components, result.witness.bits)
     assert got == _reference_scan(g)
-    assert asked == QUESTIONS.get(request.node.callspec.id, 0)
+    assert asked[0] == QUESTIONS.get(request.node.callspec.id, 0)
 
 
 def _relabel(g, seed):
@@ -217,24 +227,27 @@ def _relabel(g, seed):
 
 
 @pytest.mark.parametrize(
-    "n, d, seed, t, c, witness",
+    "n, d, seed, t, c, witness, calls",
     [
-        (18, 3, 42, Fraction(7, 6), 6, 203785),
-        (20, 3, 42, Fraction(9, 8), 8, 766002),
-        (18, 4, 42, Fraction(3, 2), 4, 5072),
-        (18, 3, 7, Fraction(7, 6), 6, 142612),
-        (20, 3, 7, Fraction(9, 8), 8, 986629),
-        (18, 4, 7, Fraction(3, 2), 4, 70220),
+        (18, 3, 42, Fraction(7, 6), 6, 203785, 29690),
+        (20, 3, 42, Fraction(9, 8), 8, 766002, 136284),
+        (18, 4, 42, Fraction(3, 2), 4, 5072, 2163),
+        (18, 3, 7, Fraction(7, 6), 6, 142612, 22889),
+        (20, 3, 7, Fraction(9, 8), 8, 986629, 165701),
+        (18, 4, 7, Fraction(3, 2), 4, 70220, 9940),
     ],
     ids=["rr18_3_seed42", "rr20_3_seed42", "rr18_4_seed42",
          "rr18_3_seed7", "rr20_3_seed7", "rr18_4_seed7"],
 )
-def test_frontier_inputs_keep_the_witness(n, d, seed, t, c, witness):
+def test_frontier_inputs_keep_the_witness(n, d, seed, t, c, witness, calls, monkeypatch):
     # The benchmark's frontier graphs exactly as it writes them: after the
     # relabelling, class maxima come late in their classes, so these runs
-    # take the question path and the resumed witness scan.
+    # take the question path and the witness scan.  The mask count is the
+    # benchmark's traced toughness.masks for the graph.
+    seen = _count_calls(monkeypatch, "count_components")
     result = exact_toughness(_relabel(random_regular(n, d, 1), seed))
     assert (result.t, result.components, result.witness.bits) == (t, c, witness)
+    assert seen[0] == calls
 
 
 def _w(g, terminals):
