@@ -12,16 +12,13 @@ of |e(A) - d|A|^2/(2n)| <= (lam/2) |A| (1-|A|/n).
 
 ``slack`` is bound minus deviation; the lemma says it is never below zero
 (minus the eigenvalue epsilon, since lam itself is computed numerically).
-
-The exhaustive two-set scan (n <= ``EXHAUSTIVE_MAX_N``) never forms the 4^n
-pairs: for a fixed A and |B| the least slack is at the least or the greatest
-e(A,B), so each A costs one sort of its n counts |N(v) & A|, and ties
-resolve to the first (A, B) by mask, A before B.
+``_slack`` computes it for single and sampled pairs.  The exhaustive scan
+(n <= ``EXHAUSTIVE_MAX_N``), which never forms the 4^n pairs, picks its pair
+from per-size tables of its own.
 """
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 
@@ -49,17 +46,21 @@ class MixingCheck:
     slack: float
 
 
+def _slack(d: int, n: int, lam: float, ka, kb, e):
+    """``(expected, bound, slack)`` for |A| = ka, |B| = kb, e(A,B) = e: one
+    pair from Python numbers, or each pair of float64 arrays, same roundings."""
+    expected = d * ka * kb / n
+    bound = lam * np.sqrt(ka * kb * (1.0 - ka / n) * (1.0 - kb / n))
+    return expected, bound, bound - abs(e - expected)
+
+
 def mixing_check(g: Graph, a: VertexSet, b: VertexSet, lam: float) -> MixingCheck:
-    """Two-set mixing inequality for one pair (A, B)."""
+    """Two-set mixing inequality for one pair (A, B), scored by ``_slack``."""
     _check_lambda(lam)
     d = _require_regular(g)
-    n = g.n
     e_ab = e_between(g, a, b)
-    ka, kb = len(a), len(b)
-    expected = d * ka * kb / n
-    bound = lam * math.sqrt(ka * kb * (1.0 - ka / n) * (1.0 - kb / n))
-    slack = bound - abs(e_ab - expected)
-    return MixingCheck(a, b, e_ab, expected, bound, slack)
+    expected, bound, slack = _slack(d, g.n, lam, len(a), len(b), e_ab)
+    return MixingCheck(a, b, e_ab, expected, float(bound), float(slack))
 
 
 def exhaustive_mixing_verify(g: Graph, lam: float) -> MixingCheck:
@@ -75,9 +76,10 @@ def exhaustive_mixing_verify(g: Graph, lam: float) -> MixingCheck:
     those are the sums of the b smallest and the b largest of the n counts
     |N(v) & A|.  The first A (by mask) whose least slack is the global
     minimum is then scanned over every B, and the first B reaching it is
-    taken: the first minimum in (A, B) mask order, A before B.  The
-    worst pair is re-evaluated through ``mixing_check`` so the returned
-    record comes from the same code path as single checks.
+    taken: the first minimum in (A, B) mask order, A before B.  It is
+    reported through ``mixing_check``, whose ``_slack`` rounds apart from
+    these tables on complete 5 and 6; scoring by ``_slack`` would print the
+    pinned table's complete 5 row as -0.000000, so that waits for a re-pin.
     """
     _check_lambda(lam)
     d = _require_regular(g)
@@ -137,8 +139,8 @@ def sampled_mixing_verify(g: Graph, samples: int, seed: int, lam: float) -> Mixi
     Each set includes every vertex independently with probability 1/2: the
     i-th pair is A = ``getrandbits(n)`` draw 2i and B = draw 2i+1 of
     ``random.Random(seed)``, so runs are reproducible.  The pairs are scored
-    ``SAMPLE_CHUNK`` at a time, drawn in order from the one stream, and the
-    first pair of least slack is kept, as a single pass would keep it.
+    ``SAMPLE_CHUNK`` at a time, in stream order, by ``_slack``; the first pair
+    of least reported slack is kept, as a single pass would keep it.
     """
     _check_lambda(lam)
     d = _require_regular(g)
@@ -163,9 +165,7 @@ def sampled_mixing_verify(g: Graph, samples: int, seed: int, lam: float) -> Mixi
         e = e.astype(np.float64)
         sa = np.bitwise_count(a_masks).astype(np.float64)
         sb = np.bitwise_count(b_masks).astype(np.float64)
-        expected = sa * sb * (d / n)
-        bound = lam * np.sqrt(sa * sb * (1.0 - sa / n) * (1.0 - sb / n))
-        slack = bound - np.abs(e - expected)
+        slack = _slack(d, n, lam, sa, sb, e)[2]
         i = int(np.argmin(slack))
         # A finite lam makes every slack finite, so no NaN can hide a minimum.
         if worst is None or slack[i] < worst[0]:

@@ -154,13 +154,11 @@ def _separates(g: Graph, terminals: int, removed: int, budget: int) -> bool:
     Some interior vertex of every joining path must go, so the search
     branches on those of a shortest one.  Paths with disjoint interiors
     each need a vertex of their own, so a branch that packs more than
-    ``budget`` of them fails at once.
+    ``budget`` of them fails at once; with no budget, any path fails it.
     """
     path = _joining_path(g, terminals, removed)
     if not path:
         return True
-    if not budget:
-        return False
     blocked = removed | path
     for _ in range(budget):
         more = _joining_path(g, terminals, blocked)
@@ -190,8 +188,9 @@ def _separable(g: Graph, q: int, s: int) -> bool:
 def exact_toughness(g: Graph, max_n: int = DEFAULT_MAX_N) -> ToughnessResult | None:
     """Globally minimal |S|/c(G-S) with a witness cut set.
 
-    Returns None when no proper S disconnects the graph (complete graphs):
-    the minimization domain is empty and we do not invent a value.
+    Returns None, before any class, when alpha < 2: exactly the complete
+    graphs (K1 included), which no S disconnects.  With alpha >= 2, V - I
+    for a maximum independent set I is a cut, so an incumbent is found.
     Enumerates S by increasing size s, each class in ascending mask order.
     Within a class the best ratio is s over the largest c, so the search
     keeps only that c and the first mask reaching it, comparing s*best_c
@@ -220,6 +219,8 @@ def exact_toughness(g: Graph, max_n: int = DEFAULT_MAX_N) -> ToughnessResult | N
     _require_connected(g, "toughness")
     n = g.n
     alpha = _independence_number(g)
+    if alpha < 2:
+        return None
     best_s = best_c = best_mask = 0
     for s in range(0, n - 1):
         cap = min(n - s, alpha)
@@ -234,8 +235,6 @@ def exact_toughness(g: Graph, max_n: int = DEFAULT_MAX_N) -> ToughnessResult | N
                 c, q = q, q + 1
         if c > 1 and (not best_c or s * best_c < best_s * c):
             best_s, best_c, best_mask = s, c, mask
-    if not best_c:
-        return None
     if not best_mask:
         best_mask = _class_max(g, best_s, best_c)[1]
     return ToughnessResult(Fraction(best_s, best_c), VertexSet(n, best_mask), best_c)

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -24,7 +25,13 @@ from toughlab.families import (
     petersen,
     random_regular,
 )
-from toughlab.graph import components, count_components, from_edge_list, is_connected
+from toughlab.graph import (
+    HALF_TABLE_MAX_N,
+    components,
+    count_components,
+    from_edge_list,
+    is_connected,
+)
 from toughlab.toughness import _independence_number, _subsets_of_size
 
 from conftest import graphs, independence_number, independent_sets_of_size
@@ -143,9 +150,11 @@ def _count_calls(monkeypatch, name):
         # Without the alpha prune and the in-class stop: 6,476 and 39,203.
         (exact_toughness, random_regular(14, 3, 46), 1471),
         (exact_toughness, hypercube(4), 7796),
+        # alpha = 1: t is undefined, and no class is scanned.
+        (exact_toughness, complete(6), 0),
     ],
     ids=["petersen", "petersen_all_cuts", "cycle_6_all_cuts", "edgeless_3_all_cuts",
-         "rr_14_3_46", "hypercube_4"],
+         "rr_14_3_46", "hypercube_4", "complete_6"],
 )
 def test_one_count_components_call_per_mask(scan, g, calls, monkeypatch):
     # The tracer counts enumerated masks by wrapping the module-global
@@ -218,6 +227,16 @@ def test_alpha_prunes_keep_the_witness(g, request, monkeypatch):
     assert asked[0] == QUESTIONS.get(request.node.callspec.id, 0)
 
 
+@settings(deadline=None)
+@given(graphs(11).filter(is_connected))
+@example(complete(1))
+@example(complete(7))
+def test_search_matches_reference_scan(g):
+    result = exact_toughness(g)
+    got = result and (result.t, result.components, result.witness.bits)
+    assert got == _reference_scan(g)
+
+
 def _relabel(g, seed):
     # The benchmark's frontier relabelling (bench/workloads.py), copied so
     # that the tests do not import the benchmark.
@@ -277,9 +296,15 @@ def test_separation_search_matches_brute_force(g, q, data):
         removed = (removed - 1) & outside
     w = _w(g, terminals)
     assert least >= w.bit_count()
+    # Isolated vertices lie on no path, so padding G with them past
+    # HALF_TABLE_MAX_N changes no answer; it moves the search onto the
+    # per-vertex _neighbourhood walk.
+    padded = from_edge_list(HALF_TABLE_MAX_N + 2, g.edges())
     for s in range(g.n - q + 1):
-        got = w.bit_count() <= s and toughness._separates(g, terminals, w, s - w.bit_count())
+        budget = s - w.bit_count()
+        got = budget >= 0 and toughness._separates(g, terminals, w, budget)
         assert got == (least <= s), s
+        assert (budget >= 0 and toughness._separates(padded, terminals, w, budget)) == got, s
 
 
 @settings(deadline=None)
@@ -308,6 +333,14 @@ def test_alpha_prunes_keep_the_witness_at_n18(d, witness):
 @example(complete(2))
 def test_independence_number_matches_brute_force(g):
     assert _independence_number(g) == independence_number(g)
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_subsets_of_size_ascend_like_combinations(n):
+    # Every pinned witness is the first mask attaining t in this order.
+    for k in range(n + 2):
+        expected = sorted(sum(1 << v for v in c) for c in combinations(range(n), k))
+        assert list(_subsets_of_size(n, k)) == expected, k
 
 
 @settings(deadline=None)
