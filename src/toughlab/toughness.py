@@ -15,11 +15,11 @@ s vertices outside some independent q-set I separate its vertices from each
 other (pad the separator with vertices outside I; deleting a vertex never
 merges components).  One kernel, ``_independent_sets``, enumerates the
 independent sets for both uses: alpha, and the yes/no questions that decide
-a large size class, each answered by a bounded branching search on shortest
-paths between vertices of I.  So no mask of such a class is scanned unless
-it holds the witness, and then only up to the witness.  Every enumerated
-mask costs exactly one ``count_components`` call, and alpha and the
-questions make none; the benchmark counts cuts by counting those calls.
+a large size class and find its witness, each answered by a bounded
+branching search on shortest paths between vertices of I.  So no mask of
+such a class is scanned.  Every enumerated mask costs exactly one
+``count_components`` call, and alpha and the questions make none; the
+benchmark counts cuts by counting those calls.
 """
 
 from __future__ import annotations
@@ -64,14 +64,18 @@ def _subsets_of_size(n: int, k: int) -> Iterator[int]:
         mask = ((ripple ^ mask) >> 2) // low | ripple
 
 
-def _independent_sets(g: Graph, q: int, s: int) -> Iterator[tuple[int, int]]:
-    """Every independent q-set I with |W(I)| <= s, as bitmasks (I, W(I)),
-    where W(I) holds the vertices with two or more neighbours in I.
+def _independent_sets(g: Graph, q: int, s: int, fixed: int = 0,
+                      allowed: int = -1) -> Iterator[tuple[int, int]]:
+    """Every independent q-set I missing ``fixed`` with |fixed | W(I)| <= s
+    and W(I) inside ``allowed``, as bitmasks (I, fixed | W(I)), where W(I)
+    holds the vertices with two or more neighbours in I.
 
     Take or drop the lowest candidate; cut a branch once too few candidates
-    remain to reach q, or once |W| > s, as W only grows with I.
+    remain to reach q, or once W leaves ``allowed`` or |fixed | W| > s, as W
+    only grows with I.
     """
     adj = g.adj
+    forbidden = ~allowed
 
     def grow(size: int, cand: int, chosen: int, once: int,
              twice: int) -> Iterator[tuple[int, int]]:
@@ -83,16 +87,22 @@ def _independent_sets(g: Graph, q: int, s: int) -> Iterator[tuple[int, int]]:
             cand ^= low
             row = adj[low.bit_length() - 1]
             w = twice | once & row
-            if w.bit_count() <= s:
+            if not w & forbidden and w.bit_count() <= s:
                 yield from grow(size + 1, cand & ~row, chosen | low, once | row, w)
 
-    return grow(0, (1 << g.n) - 1, 0, 0, 0)
+    return grow(0, (1 << g.n) - 1 & ~fixed, 0, 0, fixed)
 
 
 def _independence_number(g: Graph) -> int:
     """alpha(G): the largest q for which ``_independent_sets`` finds an
-    independent q-set; with s = n its W bound never cuts a branch."""
-    q = 0
+    independent q-set; with s = n its W bound never cuts a branch.  The
+    search starts from the size of a greedy independent set taken in vertex
+    order, since every subset of an independent set is independent."""
+    taken = 0
+    for v in range(g.n):
+        if not g.adj[v] & taken:
+            taken |= 1 << v
+    q = taken.bit_count()
     while next(_independent_sets(g, q + 1, g.n), None):
         q += 1
     return q
@@ -147,14 +157,15 @@ def _joining_path(g: Graph, terminals: int, removed: int) -> int:
     return 0
 
 
-def _separates(g: Graph, terminals: int, removed: int, budget: int) -> bool:
-    """Can at most ``budget`` more vertices, none a terminal, leave every
-    terminal in its own component of G - removed?
+def _separates(g: Graph, terminals: int, removed: int, budget: int,
+               allowed: int = -1) -> bool:
+    """Can at most ``budget`` more vertices of ``allowed``, none a terminal,
+    leave every terminal in its own component of G - removed?
 
     Some interior vertex of every joining path must go, so the search
-    branches on those of a shortest one.  Paths with disjoint interiors
-    each need a vertex of their own, so a branch that packs more than
-    ``budget`` of them fails at once; with no budget, any path fails it.
+    branches on the allowed ones of a shortest path.  Paths with disjoint
+    interiors each need a vertex of their own, so a branch that packs more
+    than ``budget`` of them fails at once; with no budget, any path fails it.
     """
     path = _joining_path(g, terminals, removed)
     if not path:
@@ -167,22 +178,55 @@ def _separates(g: Graph, terminals: int, removed: int, budget: int) -> bool:
         blocked |= more
     else:
         return False
+    path &= allowed
     while path:
         low = path & -path
         path ^= low
-        if _separates(g, terminals, removed | low, budget - 1):
+        if _separates(g, terminals, removed | low, budget - 1, allowed):
             return True
     return False
 
 
-def _separable(g: Graph, q: int, s: int) -> bool:
-    """Is there an independent q-set I and a set S of at most s vertices
-    outside I that leaves each vertex of I in its own component of G - S?
+def _separable(g: Graph, q: int, s: int, fixed: int = 0, allowed: int = -1) -> bool:
+    """Is there an s-set S with fixed <= S <= allowed that leaves at least q
+    >= 2 components?  By default nothing is fixed and every vertex is
+    allowed.
 
-    S must hold W(I), so ``_separates`` is asked of each (I, W(I)) that
-    ``_independent_sets`` yields for this s.
+    Such an S exists exactly when some independent q-set I missing
+    ``fixed`` is separated by a set of at most s allowed vertices outside I
+    that holds fixed | W(I), and at least s allowed vertices lie outside I,
+    so that the separator pads to exactly s.  So ``_separates`` is asked of
+    each (I, fixed | W(I)) that ``_independent_sets`` yields for this s.
     """
-    return any(_separates(g, i, w, s - w.bit_count()) for i, w in _independent_sets(g, q, s))
+    allowed &= (1 << g.n) - 1
+    return any((allowed & ~i).bit_count() >= s
+               and _separates(g, i, w, s - w.bit_count(), allowed)
+               for i, w in _independent_sets(g, q, s, fixed, allowed))
+
+
+def _first_mask(g: Graph, s: int, c: int) -> int:
+    """The first s-set S, in ascending mask order, with c(G-S) >= c; one
+    must exist.
+
+    Ascending order compares the highest vertices first, so S is built from
+    its highest vertex down: with the higher vertices of S in ``fixed``, the
+    next one is the least v for which some s-set S with fixed <= S <=
+    fixed | {0..v} leaves c components.  That answer only turns from no to
+    yes as v grows, so a binary search finds each vertex in at most
+    ceil(log2 n) questions.
+    """
+    fixed, top = 0, g.n
+    for k in range(s, 0, -1):
+        lo, hi = k - 1, top - 1
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if _separable(g, c, s, fixed, fixed | (2 << mid) - 1):
+                hi = mid
+            else:
+                lo = mid + 1
+        fixed |= 1 << lo
+        top = lo
+    return fixed
 
 
 def exact_toughness(g: Graph, max_n: int = DEFAULT_MAX_N) -> ToughnessResult | None:
@@ -190,26 +234,27 @@ def exact_toughness(g: Graph, max_n: int = DEFAULT_MAX_N) -> ToughnessResult | N
 
     Returns None, before any class, when alpha < 2: exactly the complete
     graphs (K1 included), which no S disconnects.  With alpha >= 2, V - I
-    for a maximum independent set I is a cut, so an incumbent is found.
+    for a maximum independent set I is a cut, so t <= (n - alpha)/alpha,
+    the seed.  The seed is a bound, not a witness.
     Enumerates S by increasing size s, each class in ascending mask order.
     Within a class the best ratio is s over the largest c, so the search
-    keeps only that c and the first mask reaching it, comparing s*best_c
-    with best_s*c in integers.  Every c in class s is at most
-    cap = min(n - s, alpha), so a class scan stops at the first mask reaching
-    cap, and the search stops at the first class where s/cap can no longer
-    beat the incumbent; cap never grows with s, so no later class can either.
+    keeps only that c and the first mask reaching it.  A class counts only
+    if that c reaches need: at least 2, at least s*alpha/(n - alpha) (a tie
+    with the seed counts), and, once there is an incumbent, more than
+    s*best_c/best_s.  Every c in class s is at most cap = min(n - s, alpha),
+    so a class scan stops at the first mask reaching cap, and the search
+    stops at the first class where need > cap; cap never grows with s, so
+    no later class can count either.
 
-    A class of more than ``CLASS_SCAN_MAX`` masks is not scanned.  With need
-    the least c that strictly beats the incumbent (2 without one),
+    A class of more than ``CLASS_SCAN_MAX`` masks is not scanned.
     ``_separable`` is asked for q = need, then need + 1, and so on while it
     says yes and q <= cap; the last yes is the class maximum, and a first no
-    means the class cannot improve.  The answers are exact by the fact in
+    means the class does not count.  The answers are exact by the fact in
     the module docstring, as q <= n - s leaves room to pad a separator.  No
-    prune skips a class or mask holding a strictly better ratio, so the
-    witness is the first mask, in enumeration order, attaining the minimum.
-    It lies in the last class that improved the incumbent; if questions
-    decided that class, one scan from its first mask returns at the first
-    mask reaching its maximum.
+    prune skips a class or mask holding a ratio at most the seed and below
+    the incumbent, so the witness is the first mask, in enumeration order,
+    attaining the minimum.  It lies in the last class that counted; if
+    questions decided that class, ``_first_mask`` finds it by questions too.
     """
     if g.n > max_n:
         raise GraphTooLarge(
@@ -224,19 +269,21 @@ def exact_toughness(g: Graph, max_n: int = DEFAULT_MAX_N) -> ToughnessResult | N
     best_s = best_c = best_mask = 0
     for s in range(0, n - 1):
         cap = min(n - s, alpha)
-        if best_c and s * best_c >= best_s * cap:
+        need = max(2, -(-s * alpha // (n - alpha)))
+        if best_c:
+            need = max(need, s * best_c // best_s + 1)
+        if need > cap:
             break
         if comb(n, s) <= CLASS_SCAN_MAX:
             c, mask = _class_max(g, s, cap)
         else:
-            c, mask = 1, 0  # the empty set never disconnects G: 0 means not found yet
-            q = s * best_c // best_s + 1 if best_c else 2
-            while q <= cap and _separable(g, q, s):
-                c, q = q, q + 1
-        if c > 1 and (not best_c or s * best_c < best_s * c):
+            c, mask = need - 1, 0  # the empty set never disconnects G: 0 means not found yet
+            while c < cap and _separable(g, c + 1, s):
+                c += 1
+        if c >= need:
             best_s, best_c, best_mask = s, c, mask
     if not best_mask:
-        best_mask = _class_max(g, best_s, best_c)[1]
+        best_mask = _first_mask(g, best_s, best_c)
     return ToughnessResult(Fraction(best_s, best_c), VertexSet(n, best_mask), best_c)
 
 

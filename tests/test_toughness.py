@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -32,7 +33,12 @@ from toughlab.graph import (
     from_edge_list,
     is_connected,
 )
-from toughlab.toughness import _independence_number, _subsets_of_size
+from toughlab.toughness import (
+    CLASS_SCAN_MAX,
+    _first_mask,
+    _independence_number,
+    _subsets_of_size,
+)
 
 from conftest import graphs, independence_number, independent_sets_of_size
 
@@ -148,8 +154,10 @@ def _count_calls(monkeypatch, name):
         (max_components_over_cuts, cycle(6), 63),
         (max_components_over_cuts, from_edge_list(3, []), 7),
         # Without the alpha prune and the in-class stop: 6,476 and 39,203.
+        # hypercube 4 scans classes 0-4 whole; the seed (n - alpha)/alpha = 1
+        # is its t, and questions find the witness in class 8.
         (exact_toughness, random_regular(14, 3, 46), 1471),
-        (exact_toughness, hypercube(4), 7796),
+        (exact_toughness, hypercube(4), 2517),
         # alpha = 1: t is undefined, and no class is scanned.
         (exact_toughness, complete(6), 0),
     ],
@@ -198,21 +206,23 @@ WITNESS_GRAPHS = {
 }
 
 
-# Separation questions each witness graph asks: only classes of more than
-# CLASS_SCAN_MAX masks ask any, which first happens at n = 14, in C(14, 7) = 3,432.
+# Separation questions each witness graph asks, for the class maxima and,
+# when questions decided the witness class, for its witness: only classes of
+# more than CLASS_SCAN_MAX masks ask any, which first happens at n = 14, in
+# C(14, 7) = 3,432.
 QUESTIONS = {
     "random_regular_14_3_10": 1,
-    "random_regular_14_4_11": 5,
+    "random_regular_14_4_11": 24,
     "random_regular_14_3_22": 1,
-    "random_regular_14_4_23": 7,
-    "random_regular_14_3_34": 5,
-    "random_regular_14_4_35": 5,
-    "random_regular_14_5_36": 7,
-    "random_regular_14_4_47": 5,
-    "hypercube_4": 8,
+    "random_regular_14_4_23": 18,
+    "random_regular_14_3_34": 15,
+    "random_regular_14_4_35": 23,
+    "random_regular_14_5_36": 16,
+    "random_regular_14_4_47": 17,
+    "hypercube_4": 23,
     "circulant_16_1_2_3_4_5_6_7": 7,
-    "circulant_16_1_4": 6,
-    "random_regular_16_5_1": 9,
+    "circulant_16_1_4": 22,
+    "random_regular_16_5_1": 20,
 }
 
 
@@ -248,12 +258,12 @@ def _relabel(g, seed):
 @pytest.mark.parametrize(
     "n, d, seed, t, c, witness, calls",
     [
-        (18, 3, 42, Fraction(7, 6), 6, 203785, 29690),
-        (20, 3, 42, Fraction(9, 8), 8, 766002, 136284),
-        (18, 4, 42, Fraction(3, 2), 4, 5072, 2163),
-        (18, 3, 7, Fraction(7, 6), 6, 142612, 22889),
-        (20, 3, 7, Fraction(9, 8), 8, 986629, 165701),
-        (18, 4, 7, Fraction(3, 2), 4, 70220, 9940),
+        (18, 3, 42, Fraction(7, 6), 6, 203785, 988),
+        (20, 3, 42, Fraction(9, 8), 8, 766002, 1351),
+        (18, 4, 42, Fraction(3, 2), 4, 5072, 988),
+        (18, 3, 7, Fraction(7, 6), 6, 142612, 988),
+        (20, 3, 7, Fraction(9, 8), 8, 986629, 1351),
+        (18, 4, 7, Fraction(3, 2), 4, 70220, 988),
     ],
     ids=["rr18_3_seed42", "rr20_3_seed42", "rr18_4_seed42",
          "rr18_3_seed7", "rr20_3_seed7", "rr18_4_seed7"],
@@ -261,8 +271,9 @@ def _relabel(g, seed):
 def test_frontier_inputs_keep_the_witness(n, d, seed, t, c, witness, calls, monkeypatch):
     # The benchmark's frontier graphs exactly as it writes them: after the
     # relabelling, class maxima come late in their classes, so these runs
-    # take the question path and the witness scan.  The mask count is the
-    # benchmark's traced toughness.masks for the graph.
+    # take the question path for the class maxima and the witness.  The mask
+    # count is the benchmark's traced toughness.masks for the graph: the
+    # small classes, scanned whole, that the seed does not rule out.
     seen = _count_calls(monkeypatch, "count_components")
     result = exact_toughness(_relabel(random_regular(n, d, 1), seed))
     assert (result.t, result.components, result.witness.bits) == (t, c, witness)
@@ -327,12 +338,65 @@ def test_alpha_prunes_keep_the_witness_at_n18(d, witness):
     assert result.witness.bits == witness
 
 
+def test_exact_toughness_reaches_n24():
+    # Too large for the reference scan; the values are those of the search
+    # that still scanned its witness class mask by mask.
+    result = exact_toughness(random_regular(24, 3, 1))
+    assert (result.t, result.components, result.witness.bits) == (Fraction(6, 5), 10, 3320407)
+
+
+@settings(deadline=None)
+@given(graphs(9), st.data())
+def test_constrained_separable_matches_brute_force(g, data):
+    # The question behind the witness search: is there an s-set S with
+    # fixed <= S <= allowed that leaves at least q components?
+    full = (1 << g.n) - 1
+    allowed = data.draw(st.integers(0, full), label="allowed")
+    fixed = data.draw(st.integers(0, full), label="fixed") & allowed
+    for s in range(g.n + 1):
+        best = max((count_components(g, m) for m in _subsets_of_size(g.n, s)
+                    if m & fixed == fixed and not m & ~allowed), default=0)
+        for q in range(2, g.n + 1):
+            assert toughness._separable(g, q, s, fixed, allowed) == (best >= q), (s, q)
+
+
+# The test graphs with n = 15-18: their classes above CLASS_SCAN_MAX.
+LARGE_CLASS_GRAPHS = {
+    spec.replace(" ", "_"): build(parse_family_spec(spec))
+    for spec in ("hypercube 4", "circulant 16 1 2 3 4 5 6 7", "circulant 16 1 4",
+                 "random_regular 16 5 1", "random_regular 18 3 1", "random_regular 18 4 1")
+}
+
+
+@pytest.mark.parametrize("g", LARGE_CLASS_GRAPHS.values(), ids=LARGE_CLASS_GRAPHS.keys())
+def test_first_mask_matches_class_scan(g):
+    # For every c up to the class maximum, the question-built mask is the
+    # first one a scan in ascending mask order finds with c(G - S) >= c.
+    for s in range(g.n + 1):
+        if comb(g.n, s) <= CLASS_SCAN_MAX:
+            continue
+        first = {}
+        for mask in _subsets_of_size(g.n, s):
+            for c in range(2, count_components(g, mask) + 1):
+                first.setdefault(c, mask)
+        for c, mask in first.items():
+            assert _first_mask(g, s, c) == mask, (s, c)
+
+
 @given(graphs(14))
 @example(from_edge_list(0, []))
 @example(complete(1))
 @example(complete(2))
 def test_independence_number_matches_brute_force(g):
     assert _independence_number(g) == independence_number(g)
+
+
+def test_independence_number_on_corpus(corpus):
+    # The greedy start must not overshoot alpha on the shipped graphs either.
+    small = [(spec, g) for spec, g in corpus if g.n <= 12]
+    assert small
+    for spec, g in small:
+        assert _independence_number(g) == independence_number(g), spec.label()
 
 
 @pytest.mark.parametrize("n", range(13))
