@@ -2,18 +2,15 @@
 
 Vertices are labelled 0..n-1 and each adjacency row is a Python int used as a
 bitmask, so set intersections and edge counts reduce to ``&`` and
-``int.bit_count``.  Everything here is pure and hashable.  A graph's fields
-never change after construction; a graph with at most ``HALF_TABLE_MAX_N``
-vertices also builds, on first use, a cached neighbourhood table.  Only
-``_neighbourhood`` and the inline hot loop of ``count_components`` read it;
-every other walk asks ``_neighbourhood``.  The table is not a field, so
-equality, hashing, ``repr`` and the graph6 encoding ignore it.
+``int.bit_count``.  Everything here is pure and hashable, and a graph never
+changes after construction.  Components are found by one walk for every n:
+pop a vertex and move its adjacency row, restricted to the vertices not yet
+reached, into the set still to visit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Iterator
 
 from .errors import GraphError, PreconditionViolated
@@ -22,13 +19,6 @@ from .errors import GraphError, PreconditionViolated
 # hopeless far below this anyway; the cap keeps every bitmask in one or two
 # machine words on CPython.
 MAX_VERTICES = 64
-
-# Largest n whose graphs count components with the half tables of
-# ``Graph._half_tables``: 2^ceil(n/2) entries per table, 4096 at n = 24, the
-# default exact-toughness cap.  Past it the tables grow as 2^(n/2) while the
-# exhaustive searches no longer run by default, so larger graphs take a
-# neighbourhood one adjacency row per vertex.
-HALF_TABLE_MAX_N = 24
 
 GRAPH6_HEADER = ">>graph6<<"
 
@@ -104,17 +94,6 @@ class Graph:
             if self.adj[u] >> v & 1
         ]
 
-    @cached_property
-    def _half_tables(self) -> tuple[int, int, list[int], list[int]]:
-        """``(w, low, lo, hi)`` for the split of 0..n-1 at w = ceil(n/2).
-
-        ``low`` masks vertices 0..w-1.  ``lo[x]`` is the neighbourhood of the
-        vertex set ``x`` inside the low half and ``hi[y]`` that of ``y << w``,
-        so N(S) = lo[S & low] | hi[S >> w] for any vertex set S.
-        """
-        w = (self.n + 1) // 2
-        return w, (1 << w) - 1, _union_table(self.adj[:w]), _union_table(self.adj[w:])
-
 
 def _require_vertex_count(n: int) -> None:
     """Refuse a vertex count outside 0..``MAX_VERTICES`` before anything is built."""
@@ -151,27 +130,22 @@ def components(g: Graph, removed: VertexSet) -> list[VertexSet]:
     return [VertexSet(g.n, c) for c in comps]
 
 
-def _union_table(rows: tuple[int, ...]) -> list[int]:
-    """``table[x]`` is the union of ``rows[i]`` over the bits i of x."""
-    table = [0] * (1 << len(rows))
-    for x in range(1, len(table)):
-        low = x & -x
-        table[x] = table[x ^ low] | rows[low.bit_length() - 1]
-    return table
-
-
 def _component_masks(g: Graph, avail: int) -> list[int]:
-    # One step per BFS layer: ``rest`` drops each layer as it is reached.
+    # The walk of ``count_components``; ``rest`` loses each vertex as it is
+    # reached, so a component is what ``rest`` lost since its first vertex.
+    adj = g.adj
     comps = []
-    rem = avail
-    while rem:
-        frontier = rem & -rem
-        rest = rem ^ frontier
-        while frontier:
-            frontier = _neighbourhood(g, frontier) & rest
-            rest ^= frontier
-        comps.append(rem ^ rest)
-        rem = rest
+    while avail:
+        todo = avail & -avail
+        rest = avail ^ todo
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            reached = adj[low.bit_length() - 1] & rest
+            rest ^= reached
+            todo |= reached
+        comps.append(avail ^ rest)
+        avail = rest
     return comps
 
 
@@ -180,41 +154,36 @@ def count_components(g: Graph, removed_bits: int) -> int:
 
     Mask-level fast path for the exhaustive searches: one call per cut, and
     the toughness search and its benchmark count cuts by counting these
-    calls.  For n <= ``HALF_TABLE_MAX_N`` it runs the layer BFS of
-    ``_component_masks`` with the two table lookups of ``_neighbourhood``
-    written inline, and only counts.  This loop is the hot loop of every cut
-    scan, and the call costs almost as much as the BFS: over 150,000 size-9
-    masks of rr(20,3,1) on CPython 3.11 it took 0.36-0.38 s, against
-    0.67-0.70 s with one ``_neighbourhood`` call per layer.  Larger graphs
-    run no cut scan by default and take ``_component_masks``.
+    calls.  It runs the walk of ``_component_masks`` written inline, and only
+    counts.  On small graphs a call costs about as much as the walk, so the
+    inline copy pays: ``len(_component_masks(...))`` in its place made the
+    benchmark's corpus workload 5% slower (median wall time 0.579 to
+    0.607 s, 6 alternating pairs, 2 cores, CPython 3.11).
     """
+    adj = g.adj
     rem = ~removed_bits & (1 << g.n) - 1
-    if g.n > HALF_TABLE_MAX_N:
-        return len(_component_masks(g, rem))
-    w, low, lo, hi = g._half_tables
     count = 0
     while rem:
-        frontier = rem & -rem
-        rem ^= frontier
-        while frontier:
-            frontier = (lo[frontier & low] | hi[frontier >> w]) & rem
-            rem ^= frontier
+        todo = rem & -rem
+        rem ^= todo
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            reached = adj[low.bit_length() - 1] & rem
+            rem ^= reached
+            todo |= reached
         count += 1
     return count
 
 
 def _neighbourhood(g: Graph, bits: int) -> int:
-    """N(S) for the vertex set S given by ``bits``: two table lookups for
-    n <= ``HALF_TABLE_MAX_N``, one adjacency row per vertex past it."""
-    if g.n > HALF_TABLE_MAX_N:
-        out = 0
-        while bits:
-            low = bits & -bits
-            out |= g.adj[low.bit_length() - 1]
-            bits ^= low
-        return out
-    w, low, lo, hi = g._half_tables
-    return lo[bits & low] | hi[bits >> w]
+    """N(S) for the vertex set S given by ``bits``, one adjacency row per vertex."""
+    out = 0
+    while bits:
+        low = bits & -bits
+        out |= g.adj[low.bit_length() - 1]
+        bits ^= low
+    return out
 
 
 def e_between(g: Graph, a: VertexSet, b: VertexSet) -> int:

@@ -231,7 +231,7 @@ class TestAnalyze:
 
     def test_toughness_cap_exit_2(self, capsys, tmp_path):
         # The star K_1,24 has n = 25, one above the cap; --force runs the
-        # exact search on it, through count_components' branch for n > 24.
+        # exact search on it.
         star = from_edge_list(25, [(0, v) for v in range(1, 25)])
         path = tmp_path / "star.txt"
         path.write_text(emit_edge_list(star))

@@ -16,7 +16,7 @@ from toughlab import (
 )
 from toughlab.errors import GraphError, PreconditionViolated
 from toughlab.families import cycle, complete, kneser, petersen
-from toughlab.graph import HALF_TABLE_MAX_N, _require_regular, count_components
+from toughlab.graph import MAX_VERTICES, _require_regular, count_components
 from toughlab.toughness import toughness_of_cut
 
 from conftest import graphs, independent_sets_of_size
@@ -225,20 +225,21 @@ def union_find_groups(g, keep):
 
 def two_cycles(n):
     """The even and the odd vertices of 0..n-1, each a cycle: disconnected,
-    and both cycles cross the halves of the neighbourhood table."""
+    and each component spans the whole range of vertex labels."""
     closing = [(0, range(0, n, 2)[-1]), (1, range(1, n, 2)[-1])]
     return from_edge_list(n, [(v, v + 2) for v in range(n - 2)] + closing)
 
 
 class TestComponentKernel:
-    @given(graphs(HALF_TABLE_MAX_N + 6).flatmap(
+    @given(graphs(30).flatmap(
         lambda g: vertex_subsets(g).map(lambda removed: (g, removed))))
-    @example((two_cycles(HALF_TABLE_MAX_N), VertexSet.of(HALF_TABLE_MAX_N, [0, 1, 12])))
-    @example((two_cycles(HALF_TABLE_MAX_N + 1), VertexSet.of(HALF_TABLE_MAX_N + 1, [0, 1, 12])))
+    @example((two_cycles(24), VertexSet.of(24, [0, 1, 12])))
+    @example((two_cycles(25), VertexSet.of(25, [0, 1, 12])))
+    @example((two_cycles(MAX_VERTICES), VertexSet.of(MAX_VERTICES, [0, 1, 61])))
     def test_matches_union_find(self, case):
-        # n up to 30 crosses the switch from the half tables to one
-        # adjacency row per vertex at HALF_TABLE_MAX_N; the examples sit on
-        # both sides of it on every run.
+        # The examples run on every draw: an even and an odd n, and n at the
+        # vertex cap, where removing 1 and 61 leaves the top vertex, 63, as a
+        # component of its own.
         g, removed = case
         expected = union_find_groups(g, removed.complement().bits)
         comps = components(g, removed)
