@@ -176,16 +176,6 @@ def count_components(g: Graph, removed_bits: int) -> int:
     return count
 
 
-def _neighbourhood(g: Graph, bits: int) -> int:
-    """N(S) for the vertex set S given by ``bits``, one adjacency row per vertex."""
-    out = 0
-    while bits:
-        low = bits & -bits
-        out |= g.adj[low.bit_length() - 1]
-        bits ^= low
-    return out
-
-
 def e_between(g: Graph, a: VertexSet, b: VertexSet) -> int:
     """Edge incidences with one end in ``a`` and the other in ``b``.
 

@@ -30,7 +30,7 @@ from math import comb
 from typing import Iterator
 
 from .errors import GraphTooLarge, PreconditionViolated
-from .graph import Graph, VertexSet, _neighbourhood, _require_connected, count_components
+from .graph import Graph, VertexSet, _require_connected, count_components
 
 # Past this the subset space is no longer a desk-scale computation.
 DEFAULT_MAX_N = 24
@@ -126,6 +126,16 @@ def _class_max(g: Graph, s: int, cap: int) -> tuple[int, int]:
     return best_c, best_mask
 
 
+def _neighbourhood(g: Graph, bits: int) -> int:
+    """N(S) for the vertex set S given by ``bits``, one adjacency row per vertex."""
+    out = 0
+    while bits:
+        low = bits & -bits
+        out |= g.adj[low.bit_length() - 1]
+        bits ^= low
+    return out
+
+
 def _joining_path(g: Graph, terminals: int, removed: int) -> int:
     """Interior vertices of a path in G - removed that joins two vertices of
     the independent set ``terminals``; 0 when no path joins two.
@@ -209,23 +219,22 @@ def _first_mask(g: Graph, s: int, c: int) -> int:
     must exist.
 
     Ascending order compares the highest vertices first, so S is built from
-    its highest vertex down: with the higher vertices of S in ``fixed``, the
-    next one is the least v for which some s-set S with fixed <= S <=
-    fixed | {0..v} leaves c components.  That answer only turns from no to
-    yes as v grows, so a binary search finds each vertex in at most
-    ceil(log2 n) questions.
+    its highest vertex down: with the higher vertices of S in ``fixed`` and
+    k vertices still to place, the next one is the least v for which some
+    s-set S with fixed <= S <= fixed | {0..v} leaves c components.  That
+    answer only turns from no to yes as v grows, so v walks down from just
+    below the last vertex placed: it falls while the answer for
+    fixed | {0..v-1} is yes, and the first no places v.  At v = k - 1
+    nothing is asked, as the k vertices left can only be 0..k-1.  No v is
+    asked about twice, so the walk asks at most n - v1 questions, v1 the
+    lowest vertex of S, and at most s of them, the costly ones, answer no.
     """
-    fixed, top = 0, g.n
+    fixed, v = 0, g.n
     for k in range(s, 0, -1):
-        lo, hi = k - 1, top - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if _separable(g, c, s, fixed, fixed | (2 << mid) - 1):
-                hi = mid
-            else:
-                lo = mid + 1
-        fixed |= 1 << lo
-        top = lo
+        v -= 1
+        while v >= k and _separable(g, c, s, fixed, fixed | (1 << v) - 1):
+            v -= 1
+        fixed |= 1 << v
     return fixed
 
 

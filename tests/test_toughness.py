@@ -215,17 +215,17 @@ WITNESS_GRAPHS = {
 # C(14, 7) = 3,432.
 QUESTIONS = {
     "random_regular_14_3_10": 1,
-    "random_regular_14_4_11": 24,
+    "random_regular_14_4_11": 18,
     "random_regular_14_3_22": 1,
-    "random_regular_14_4_23": 18,
+    "random_regular_14_4_23": 17,
     "random_regular_14_3_34": 15,
-    "random_regular_14_4_35": 23,
+    "random_regular_14_4_35": 18,
     "random_regular_14_5_36": 16,
-    "random_regular_14_4_47": 17,
-    "hypercube_4": 23,
+    "random_regular_14_4_47": 18,
+    "hypercube_4": 19,
     "circulant_16_1_2_3_4_5_6_7": 7,
-    "circulant_16_1_4": 22,
-    "random_regular_16_5_1": 20,
+    "circulant_16_1_4": 20,
+    "random_regular_16_5_1": 21,
 }
 
 
@@ -259,28 +259,32 @@ def _relabel(g, seed):
 
 
 @pytest.mark.parametrize(
-    "n, d, seed, t, c, witness, calls",
+    "n, d, seed, t, c, witness, calls, questions",
     [
-        (18, 3, 42, Fraction(7, 6), 6, 203785, 988),
-        (20, 3, 42, Fraction(9, 8), 8, 766002, 1351),
-        (18, 4, 42, Fraction(3, 2), 4, 5072, 988),
-        (18, 3, 7, Fraction(7, 6), 6, 142612, 988),
-        (20, 3, 7, Fraction(9, 8), 8, 986629, 1351),
-        (18, 4, 7, Fraction(3, 2), 4, 70220, 988),
+        (18, 3, 42, Fraction(7, 6), 6, 203785, 988, 26),
+        (20, 3, 42, Fraction(9, 8), 8, 766002, 1351, 30),
+        (18, 4, 42, Fraction(3, 2), 4, 5072, 988, 22),
+        (18, 3, 7, Fraction(7, 6), 6, 142612, 988, 25),
+        (20, 3, 7, Fraction(9, 8), 8, 986629, 1351, 30),
+        (18, 4, 7, Fraction(3, 2), 4, 70220, 988, 24),
     ],
     ids=["rr18_3_seed42", "rr20_3_seed42", "rr18_4_seed42",
          "rr18_3_seed7", "rr20_3_seed7", "rr18_4_seed7"],
 )
-def test_frontier_inputs_keep_the_witness(n, d, seed, t, c, witness, calls, monkeypatch):
+def test_frontier_inputs_keep_the_witness(n, d, seed, t, c, witness, calls, questions,
+                                         monkeypatch):
     # The benchmark's frontier graphs exactly as it writes them: after the
     # relabelling, class maxima come late in their classes, so these runs
     # take the question path for the class maxima and the witness.  The mask
     # count is the benchmark's traced toughness.masks for the graph: the
-    # small classes, scanned whole, that the seed does not rule out.
+    # small classes, scanned whole, that the seed does not rule out.  The
+    # question count covers the class maxima and the witness walk.
     seen = _count_calls(monkeypatch, "count_components")
+    asked = _count_calls(monkeypatch, "_separable")
     result = exact_toughness(_relabel(random_regular(n, d, 1), seed))
     assert (result.t, result.components, result.witness.bits) == (t, c, witness)
     assert seen[0] == calls
+    assert asked[0] == questions
 
 
 def _w(g, terminals):
@@ -371,9 +375,12 @@ LARGE_CLASS_GRAPHS = {
 
 
 @pytest.mark.parametrize("g", LARGE_CLASS_GRAPHS.values(), ids=LARGE_CLASS_GRAPHS.keys())
-def test_first_mask_matches_class_scan(g):
+def test_first_mask_matches_class_scan(g, monkeypatch):
     # For every c up to the class maximum, the question-built mask is the
-    # first one a scan in ascending mask order finds with c(G - S) >= c.
+    # first one a scan in ascending mask order finds with c(G - S) >= c, and
+    # the walk down to it asks at most one question per vertex from the top
+    # down to the lowest vertex of that mask.
+    asked = _count_calls(monkeypatch, "_separable")
     for s in range(g.n + 1):
         if comb(g.n, s) <= CLASS_SCAN_MAX:
             continue
@@ -382,7 +389,9 @@ def test_first_mask_matches_class_scan(g):
             for c in range(2, count_components(g, mask) + 1):
                 first.setdefault(c, mask)
         for c, mask in first.items():
+            before = asked[0]
             assert _first_mask(g, s, c) == mask, (s, c)
+            assert asked[0] - before <= g.n - (mask & -mask).bit_length() + 1, (s, c)
 
 
 @given(graphs(14))
