@@ -12,7 +12,11 @@ of |e(A) - d|A|^2/(2n)| <= (lam/2) |A| (1-|A|/n).
 
 ``slack`` is bound minus deviation; the lemma says it is never below zero
 (minus the eigenvalue epsilon, since lam itself is computed numerically).
-``_slack`` computes it for single and sampled pairs.  The exhaustive scan
+``_size_terms`` gives expected and bound for given sizes and ``_slack`` the
+slack, for single pairs and for the sampled scan, which looks both terms up
+in per-size tables.  The sampled pairs come from CPython's ``getrandbits``
+stream, drawn in bulk through numpy's MT19937; the first sampled scan of a
+process pays a one-time ``numpy.random`` import.  The exhaustive scan
 (n <= ``EXHAUSTIVE_MAX_N``), which never forms the 4^n pairs, picks its pair
 from per-size tables of its own.
 """
@@ -24,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GraphTooLarge
+from .errors import GraphTooLarge, PreconditionViolated
 from .graph import Graph, VertexSet, _require_regular, e_between
 from .spectra import LAMBDA_EPS, _check_lambda
 from .toughness import max_components_over_cuts
@@ -46,21 +50,34 @@ class MixingCheck:
     slack: float
 
 
-def _slack(d: int, n: int, lam: float, ka, kb, e):
-    """``(expected, bound, slack)`` for |A| = ka, |B| = kb, e(A,B) = e: one
-    pair from Python numbers, or each pair of float64 arrays, same roundings."""
+def _size_terms(d: int, n: int, lam: float, ka, kb):
+    """``(expected, bound)`` for |A| = ka, |B| = kb: one pair from Python
+    numbers, or each element of float64 arrays, with the same roundings."""
     expected = d * ka * kb / n
     bound = lam * np.sqrt(ka * kb * (1.0 - ka / n) * (1.0 - kb / n))
-    return expected, bound, bound - abs(e - expected)
+    return expected, bound
+
+
+def _slack(expected, bound, e):
+    """Bound minus the deviation of e = e(A,B) from its expected value."""
+    return bound - abs(e - expected)
+
+
+def _mixing_degree(g: Graph) -> int:
+    """Common degree of g, refusing the empty graph: the lemma divides by n."""
+    d = _require_regular(g)
+    if g.n == 0:
+        raise PreconditionViolated("mixing is not defined on a graph with no vertices")
+    return d
 
 
 def mixing_check(g: Graph, a: VertexSet, b: VertexSet, lam: float) -> MixingCheck:
     """Two-set mixing inequality for one pair (A, B), scored by ``_slack``."""
     _check_lambda(lam)
-    d = _require_regular(g)
+    d = _mixing_degree(g)
     e_ab = e_between(g, a, b)
-    expected, bound, slack = _slack(d, g.n, lam, len(a), len(b), e_ab)
-    return MixingCheck(a, b, e_ab, expected, float(bound), float(slack))
+    expected, bound = _size_terms(d, g.n, lam, len(a), len(b))
+    return MixingCheck(a, b, e_ab, expected, float(bound), float(_slack(expected, bound, e_ab)))
 
 
 def exhaustive_mixing_verify(g: Graph, lam: float) -> MixingCheck:
@@ -82,7 +99,7 @@ def exhaustive_mixing_verify(g: Graph, lam: float) -> MixingCheck:
     pinned table's complete 5 row as -0.000000, so that waits for a re-pin.
     """
     _check_lambda(lam)
-    d = _require_regular(g)
+    d = _mixing_degree(g)
     n = g.n
     if n > EXHAUSTIVE_MAX_N:
         raise GraphTooLarge(
@@ -115,17 +132,32 @@ def exhaustive_mixing_verify(g: Graph, lam: float) -> MixingCheck:
     return mixing_check(g, VertexSet(n, a_mask), VertexSet(n, b_mask), lam)
 
 
-def _random_masks(rng: random.Random, n: int, count: int) -> np.ndarray:
-    """``count`` successive ``rng.getrandbits(n)`` draws, 1 <= n <= 64, as uint64.
+def _getrandbits_stream(seed: int):
+    """numpy's MT19937 in the state of ``random.Random(seed)``: its
+    ``random_raw`` words are the 32-bit outputs ``getrandbits`` would use."""
+    from numpy.random import MT19937  # about 14 ms, so only when sampling
+
+    state = random.Random(seed).getstate()[1]
+    # Seed 0 only skips the OS entropy read: the state is replaced at once.
+    stream = MT19937(0)
+    stream.state = {
+        "bit_generator": "MT19937",
+        "state": {"key": np.array(state[:-1], dtype=np.uint32), "pos": state[-1]},
+    }
+    return stream
+
+
+def _random_masks(stream, n: int, count: int) -> np.ndarray:
+    """``count`` successive ``getrandbits(n)`` draws, 1 <= n <= 64, as uint64,
+    from a ``_getrandbits_stream``.
 
     CPython builds ``getrandbits(k)`` from 32-bit outputs, least significant
-    word first, and shifts the last word right by 32*ceil(k/32) - k.  So one
-    draw of 32*w*count bits, w = ceil(n/32), holds the words of every draw in
-    order, and the stream is the same as drawing them one at a time.
+    word first, and shifts the last word right by 32*ceil(k/32) - k.  So
+    w*count words, w = ceil(n/32), hold the words of every draw in order, and
+    the stream is the same as drawing them one at a time.
     """
     w = -(-n // 32)
-    raw = rng.getrandbits(32 * w * count).to_bytes(4 * w * count, "little")
-    words = np.frombuffer(raw, dtype="<u4").reshape(count, w).astype(np.uint64)
+    words = stream.random_raw(w * count).reshape(count, w)
     words[:, -1] >>= np.uint64(32 * w - n)
     masks = words[:, 0]
     for i in range(1, w):
@@ -133,17 +165,43 @@ def _random_masks(rng: random.Random, n: int, count: int) -> np.ndarray:
     return masks
 
 
+def _size_tables(d: int, n: int, lam: float):
+    """``_size_terms`` for every (|A|, |B|), flat: entry |A|*(n+1) + |B|."""
+    sizes = np.arange(n + 1, dtype=np.float64)
+    return tuple(t.ravel() for t in _size_terms(d, n, lam, sizes[:, None], sizes))
+
+
+def _chunk_slack(adj: np.ndarray, tables, a_masks: np.ndarray, b_masks: np.ndarray):
+    """``_slack`` of each pair (a_masks[i], b_masks[i]) of uint64 masks, with
+    expected and bound looked up in ``_size_tables``; ``adj`` holds N(v)."""
+    n = len(adj)
+    # b_bits[v] is bit v of every B, unpacked from its little-endian bytes.
+    b_bytes = b_masks.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8).T
+    b_bits = np.unpackbits(b_bytes, axis=0, count=n, bitorder="little")
+    # e(A,B) = sum over v in B of |N(v) & A|, exactly: e <= n*d <= 4032.
+    e = np.zeros(len(a_masks), dtype=np.uint16)
+    for row, bits in zip(adj, b_bits):
+        e += np.bitwise_count(a_masks & row) * bits
+    at = np.bitwise_count(a_masks).astype(np.intp) * (n + 1) + np.bitwise_count(b_masks)
+    expected, bound = tables
+    return _slack(expected[at], bound[at], e)
+
+
 def sampled_mixing_verify(g: Graph, samples: int, seed: int, lam: float) -> MixingCheck:
     """Check ``samples`` uniformly random (A, B) pairs, deterministic in seed.
 
     Each set includes every vertex independently with probability 1/2: the
     i-th pair is A = ``getrandbits(n)`` draw 2i and B = draw 2i+1 of
-    ``random.Random(seed)``, so runs are reproducible.  The pairs are scored
-    ``SAMPLE_CHUNK`` at a time, in stream order, by ``_slack``; the first pair
-    of least reported slack is kept, as a single pass would keep it.
+    ``random.Random(seed)``, so runs are reproducible; the words of that
+    stream are drawn in bulk through numpy's MT19937 (``numpy.random`` is
+    imported on the first call).  The pairs are scored ``SAMPLE_CHUNK`` at a
+    time, in stream order, by ``_slack`` on expected and bound looked up in
+    tables over every (|A|, |B|), whose entries are ``_size_terms``' own
+    roundings; the first pair of least reported slack is kept, as a single
+    pass would keep it.
     """
     _check_lambda(lam)
-    d = _require_regular(g)
+    d = _mixing_degree(g)
     if samples < 1:
         raise ValueError("samples must be at least 1")
     if seed < 0:
@@ -151,21 +209,15 @@ def sampled_mixing_verify(g: Graph, samples: int, seed: int, lam: float) -> Mixi
         # second name for a non-negative one.
         raise ValueError(f"seed must be non-negative, got {seed}")
     n = g.n
-    rng = random.Random(seed)
+    stream = _getrandbits_stream(seed)
+    tables = _size_tables(d, n, lam)
     adj = np.array(g.adj, dtype=np.uint64)
     worst = None
     for start in range(0, samples, SAMPLE_CHUNK):
         count = min(SAMPLE_CHUNK, samples - start)
         # Draws alternate A, B; the transposed copy makes each side contiguous.
-        a_masks, b_masks = _random_masks(rng, n, 2 * count).reshape(count, 2).T.copy()
-        # e(A,B) = sum over v in B of |N(v) & A|, in exact integers.
-        e = np.zeros(count, dtype=np.uint64)
-        for v, row in enumerate(adj):
-            e += np.bitwise_count(a_masks & row) * ((b_masks >> np.uint64(v)) & np.uint64(1))
-        e = e.astype(np.float64)
-        sa = np.bitwise_count(a_masks).astype(np.float64)
-        sb = np.bitwise_count(b_masks).astype(np.float64)
-        slack = _slack(d, n, lam, sa, sb, e)[2]
+        a_masks, b_masks = _random_masks(stream, n, 2 * count).reshape(count, 2).T.copy()
+        slack = _chunk_slack(adj, tables, a_masks, b_masks)
         i = int(np.argmin(slack))
         # A finite lam makes every slack finite, so no NaN can hide a minimum.
         if worst is None or slack[i] < worst[0]:

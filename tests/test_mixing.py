@@ -29,9 +29,17 @@ from toughlab.families import (
     petersen,
     random_regular,
 )
-from toughlab.graph import from_edge_list
+from toughlab.graph import e_between, from_edge_list
 from toughlab import mixing
-from toughlab.mixing import EXHAUSTIVE_MAX_N, _random_masks
+from toughlab.mixing import (
+    EXHAUSTIVE_MAX_N,
+    _chunk_slack,
+    _getrandbits_stream,
+    _random_masks,
+    _size_tables,
+    _size_terms,
+    _slack,
+)
 from toughlab.spectra import adjacency_matrix
 from toughlab.toughness import COMPONENT_BOUND_MAX_N, _independence_number
 
@@ -239,12 +247,39 @@ def test_sampled_verify_refuses_negative_seed():
         sampled_mixing_verify(g, samples=10, seed=-7, lam=lam_of(g))
 
 
+@pytest.mark.parametrize("seed", [0, 1, 42, 2**32 + 5, 2**64 + 3])
+def test_stream_words_match_getrandbits(seed):
+    # 2000 words run past the first 624-word refill of the MT19937 state.
+    rng = random.Random(seed)
+    expected = [rng.getrandbits(32) for _ in range(2000)]
+    assert _getrandbits_stream(seed).random_raw(2000).tolist() == expected
+
+
 @pytest.mark.parametrize("seed", [0, 42])
-@pytest.mark.parametrize("n", [2, 31, 32, 33, 35, 63, 64])
+@pytest.mark.parametrize("n", [1, 2, 31, 32, 33, 35, 63, 64])
 def test_random_masks_match_getrandbits_stream(n, seed):
     rng = random.Random(seed)
     expected = [rng.getrandbits(n) for _ in range(257)]
-    assert _random_masks(random.Random(seed), n, 257).tolist() == expected
+    assert _random_masks(_getrandbits_stream(seed), n, 257).tolist() == expected
+
+
+@pytest.mark.parametrize("g", [cycle(12), kneser(7, 3), hypercube(6)],
+                         ids=["cycle12", "kneser7_3", "hypercube6"])
+def test_chunk_slack_matches_per_pair_slack(g):
+    # The sampled scan's per-size tables and narrow e against _slack on
+    # per-pair float64 arrays and e_between, for one full chunk.
+    n, d, lam = g.n, g.degree(0), lam_of(g)
+    masks = _random_masks(_getrandbits_stream(42), n, 2 * mixing.SAMPLE_CHUNK)
+    a_masks, b_masks = masks[0::2].copy(), masks[1::2].copy()
+    e = np.array([e_between(g, VertexSet(n, int(a)), VertexSet(n, int(b)))
+                  for a, b in zip(a_masks, b_masks)])
+    ka = np.bitwise_count(a_masks).astype(np.float64)
+    kb = np.bitwise_count(b_masks).astype(np.float64)
+    per_pair = _slack(*_size_terms(d, n, lam, ka, kb), e)
+    adj = np.array(g.adj, dtype=np.uint64)
+    table = _chunk_slack(adj, _size_tables(d, n, lam), a_masks, b_masks)
+    assert table.dtype == per_pair.dtype == np.float64
+    assert table.tobytes() == per_pair.tobytes()
 
 
 def _sampled_reference(g, samples, seed, lam):
@@ -273,6 +308,13 @@ def test_sampled_verify_matches_loop(g, samples, seed):
             == _sampled_reference(g, samples, seed, lam))
 
 
+def test_sampled_verify_matches_loop_on_complete_64():
+    # e(A,B) is largest here, up to 64 * 63, in the scan's uint16 count.
+    g = complete(64)
+    assert (sampled_mixing_verify(g, 500, 42, 1.0)
+            == _sampled_reference(g, 500, 42, 1.0))
+
+
 @pytest.mark.parametrize("chunk", [1, 7, 64])
 @pytest.mark.parametrize("g", [cycle(5), petersen(), kneser(7, 3)],
                          ids=["cycle5", "petersen", "kneser7_3"])
@@ -291,6 +333,26 @@ def test_sampled_verify_hypercube6():
     worst = sampled_mixing_verify(g, 2000, 42, lam_of(g))
     assert math.isfinite(worst.slack)
     assert worst.slack >= -1e-9
+
+
+@pytest.mark.parametrize("check", [
+    lambda g: mixing_check(g, VertexSet(0), VertexSet(0), 1.0),
+    lambda g: exhaustive_mixing_verify(g, 1.0),
+    lambda g: sampled_mixing_verify(g, 10, 7, 1.0),
+], ids=["pair", "exhaustive", "sampled"])
+def test_mixing_checks_refuse_empty_graph(check):
+    with pytest.raises(PreconditionViolated, match="no vertices"):
+        check(from_edge_list(0, []))
+
+
+def test_mixing_checks_on_one_vertex():
+    # n = 1 is defined: the only pairs are of the empty and the full set.
+    g = complete(1)
+    full = VertexSet(1, 1)
+    assert mixing_check(g, full, full, 1.0).slack == 0.0
+    assert exhaustive_mixing_verify(g, 1.0).a == VertexSet(1)
+    worst = sampled_mixing_verify(g, 10, 3, 1.0)
+    assert (worst.a.bits, worst.b.bits, worst.slack) == (0, 1, 0.0)
 
 
 def test_component_count_bound_values():
