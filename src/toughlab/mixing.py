@@ -236,8 +236,7 @@ def component_count_bound(g: Graph, lam: float) -> float:
 def verify_component_bound(g: Graph, lam: float) -> bool:
     """Exhaustively confirm c(G-S) <= lam*n/(d+lam) on every disconnecting cut S.
 
-    The cut scan, and so its size cap, runs before lam is checked.
+    Regularity and lam are checked before the cut scan and its size cap.
     """
-    _require_regular(g)
-    worst = max_components_over_cuts(g)
-    return worst <= component_count_bound(g, lam) + LAMBDA_EPS
+    bound = component_count_bound(g, lam)
+    return max_components_over_cuts(g) <= bound + LAMBDA_EPS

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 from hypothesis import strategies as st
 
-from toughlab import families, from_edge_list, spectrum
+from toughlab import families, from_edge_list, graph, spectrum, toughness
 from toughlab.toughness import _subsets_of_size
 
 # Tests that start `python -m toughlab.cli` need the package that pytest's
@@ -35,6 +35,24 @@ def independence_number(g):
     """Brute-force alpha(G) over all 2^n vertex sets, independent of the scan."""
     return max(mask.bit_count() for mask in range(1 << g.n)
                if not any(mask >> v & 1 and g.adj[v] & mask for v in range(g.n)))
+
+
+def count_calls(monkeypatch, name):
+    """Wrap ``toughness.<name>`` to count its calls; the count is item 0 of
+    the returned list.  Like the benchmark's tracer, the wrapper replaces the
+    function in ``graph`` too when ``graph`` holds it, so a call made from
+    ``graph`` counts as well."""
+    seen = [0]
+    kernel = getattr(toughness, name)
+
+    def counting(*args):
+        seen[0] += 1
+        return kernel(*args)
+
+    for module in (toughness, graph):
+        if getattr(module, name, None) is kernel:
+            monkeypatch.setattr(module, name, counting)
+    return seen
 
 
 def graphs(max_n=12):

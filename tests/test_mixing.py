@@ -43,7 +43,7 @@ from toughlab.mixing import (
 from toughlab.spectra import adjacency_matrix
 from toughlab.toughness import COMPONENT_BOUND_MAX_N, _independence_number
 
-from conftest import independence_number, independent_sets_of_size
+from conftest import count_calls, independence_number, independent_sets_of_size
 
 
 def lam_of(g):
@@ -383,6 +383,15 @@ def test_mixing_checks_reject_nonpositive_lambda(check, lam):
 def test_verify_component_bound():
     for g in (petersen(), cycle(6), complete(4)):  # K4 is vacuous: no cut
         assert verify_component_bound(g, lam_of(g))
+
+
+@pytest.mark.parametrize("lam", [None, 0.0, -1.0, math.nan, math.inf])
+def test_verify_component_bound_checks_lambda_before_the_scan(lam, monkeypatch):
+    # A bad lambda is refused before any of Petersen's 1023 cuts is counted.
+    counted = count_calls(monkeypatch, "count_components")
+    with pytest.raises(ValueError, match="lambda must be positive"):
+        verify_component_bound(petersen(), lam)
+    assert counted[0] == 0
 
 
 # Every corpus graph in reach of the cut scan, complete ones (K4 among them)

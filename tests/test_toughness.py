@@ -13,7 +13,7 @@ from toughlab import (
     naive_toughness,
     toughness_of_cut,
 )
-from toughlab import graph, toughness
+from toughlab import toughness
 from toughlab.errors import GraphTooLarge, PreconditionViolated
 from toughlab.families import (
     build,
@@ -39,7 +39,7 @@ from toughlab.toughness import (
     _subsets_of_size,
 )
 
-from conftest import graphs, independence_number, independent_sets_of_size
+from conftest import count_calls, graphs, independence_number, independent_sets_of_size
 
 
 def test_complete_graph_undefined():
@@ -130,24 +130,6 @@ def test_witness_determinism():
     assert a == b
 
 
-def _count_calls(monkeypatch, name):
-    """Wrap ``toughness.<name>`` to count its calls; the count is item 0 of
-    the returned list.  Like the benchmark's tracer, the wrapper replaces the
-    function in ``graph`` too when ``graph`` holds it, so a call made from
-    ``graph`` counts as well."""
-    seen = [0]
-    kernel = getattr(toughness, name)
-
-    def counting(*args):
-        seen[0] += 1
-        return kernel(*args)
-
-    for module in (toughness, graph):
-        if getattr(module, name, None) is kernel:
-            monkeypatch.setattr(module, name, counting)
-    return seen
-
-
 @pytest.mark.parametrize(
     "scan, g, calls",
     [
@@ -171,7 +153,7 @@ def test_one_count_components_call_per_mask(scan, g, calls, monkeypatch):
     # The tracer counts enumerated masks by wrapping the module-global
     # count_components, so every mask must go through it exactly once and
     # nothing else in the scan (alpha, the connectivity check) may call it.
-    seen = _count_calls(monkeypatch, "count_components")
+    seen = count_calls(monkeypatch, "count_components")
     scan(g)
     assert seen[0] == calls
 
@@ -233,7 +215,7 @@ QUESTIONS = {
 def test_alpha_prunes_keep_the_witness(g, request, monkeypatch):
     # The pinned analyze digests and the benchmark's witness check depend on
     # the exact first-mask witness, not only on t and c.
-    asked = _count_calls(monkeypatch, "_separable")
+    asked = count_calls(monkeypatch, "_separable")
     result = exact_toughness(g)
     got = result and (result.t, result.components, result.witness.bits)
     assert got == _reference_scan(g)
@@ -279,8 +261,8 @@ def test_frontier_inputs_keep_the_witness(n, d, seed, t, c, witness, calls, ques
     # count is the benchmark's traced toughness.masks for the graph: the
     # small classes, scanned whole, that the seed does not rule out.  The
     # question count covers the class maxima and the witness walk.
-    seen = _count_calls(monkeypatch, "count_components")
-    asked = _count_calls(monkeypatch, "_separable")
+    seen = count_calls(monkeypatch, "count_components")
+    asked = count_calls(monkeypatch, "_separable")
     result = exact_toughness(_relabel(random_regular(n, d, 1), seed))
     assert (result.t, result.components, result.witness.bits) == (t, c, witness)
     assert seen[0] == calls
@@ -374,24 +356,41 @@ LARGE_CLASS_GRAPHS = {
 }
 
 
+def _first_masks_by_scan(g, s):
+    """For every c from 2 up to the maximum of class s, the first s-set S in
+    ascending mask order with c(G - S) >= c, as {c: mask}."""
+    first = {}
+    for mask in _subsets_of_size(g.n, s):
+        for c in range(2, count_components(g, mask) + 1):
+            first.setdefault(c, mask)
+    return first
+
+
 @pytest.mark.parametrize("g", LARGE_CLASS_GRAPHS.values(), ids=LARGE_CLASS_GRAPHS.keys())
 def test_first_mask_matches_class_scan(g, monkeypatch):
     # For every c up to the class maximum, the question-built mask is the
     # first one a scan in ascending mask order finds with c(G - S) >= c, and
     # the walk down to it asks at most one question per vertex from the top
     # down to the lowest vertex of that mask.
-    asked = _count_calls(monkeypatch, "_separable")
+    asked = count_calls(monkeypatch, "_separable")
     for s in range(g.n + 1):
         if comb(g.n, s) <= CLASS_SCAN_MAX:
             continue
-        first = {}
-        for mask in _subsets_of_size(g.n, s):
-            for c in range(2, count_components(g, mask) + 1):
-                first.setdefault(c, mask)
-        for c, mask in first.items():
+        for c, mask in _first_masks_by_scan(g, s).items():
             before = asked[0]
             assert _first_mask(g, s, c) == mask, (s, c)
             assert asked[0] - before <= g.n - (mask & -mask).bit_length() + 1, (s, c)
+
+
+@settings(deadline=None)
+@given(graphs(10))
+@example(from_edge_list(5, [(0, 1), (2, 3)]))
+def test_first_mask_matches_class_scan_on_random_graphs(g):
+    # The same walk on small graphs of any shape, sparse and disconnected
+    # ones included, for every class s and every c it reaches.
+    for s in range(g.n + 1):
+        for c, mask in _first_masks_by_scan(g, s).items():
+            assert _first_mask(g, s, c) == mask, (s, c)
 
 
 @given(graphs(14))
@@ -403,7 +402,7 @@ def test_independence_number_matches_brute_force(g):
 
 
 def test_independence_number_on_corpus(corpus):
-    # The greedy start must not overshoot alpha on the shipped graphs either.
+    # The search must reach alpha exactly on the shipped graphs too.
     small = [(spec, g) for spec, g in corpus if g.n <= 12]
     assert small
     for spec, g in small:
