@@ -74,7 +74,6 @@ def verify_theorem(g: Graph, lam: float,
     """
     d = _require_regular(g)
     _require_connected(g, "bound verification")
-    _check_lambda(lam)
     exact_t = None if toughness is None else toughness.t
     theorem = theorem_bound(d, lam)
     slack = None

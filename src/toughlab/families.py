@@ -101,6 +101,10 @@ def random_regular(n: int, d: int, seed: int) -> Graph:
         raise InvalidParams(f"need 0 <= d < n, got d={d}, n={n}")
     if n * d % 2:
         raise InvalidParams(f"n*d must be even, got n={n}, d={d}")
+    if d <= 1 and n > d + 1:
+        # K1 and K2 are the only connected graphs of degree at most 1.
+        raise InvalidParams(
+            f"no connected {d}-regular graph on n={n} vertices (d <= 1 needs n = d + 1)")
     if seed < 0:
         # random.Random(-s) replays seed s.
         raise InvalidParams(f"random_regular needs seed >= 0, got {seed}")

@@ -57,12 +57,8 @@ class SpectralProfile:
 
 def adjacency_matrix(g: Graph) -> np.ndarray:
     a = np.zeros((g.n, g.n))
-    for u in range(g.n):
-        row = g.adj[u]
-        while row:
-            low = row & -row
-            a[u, low.bit_length() - 1] = 1.0
-            row ^= low
+    for u, v in g.edges():
+        a[u, v] = a[v, u] = 1.0
     return a
 
 

@@ -67,6 +67,13 @@ def graphs(max_n=12):
     )
 
 
+def two_cycles(n):
+    """The even and the odd vertices of 0..n-1, each a cycle: disconnected,
+    and each component spans the whole range of vertex labels."""
+    closing = [(0, range(0, n, 2)[-1]), (1, range(1, n, 2)[-1])]
+    return from_edge_list(n, [(v, v + 2) for v in range(n - 2)] + closing)
+
+
 @pytest.fixture(scope="session")
 def corpus():
     """The shipped corpus as (spec, graph) pairs."""

@@ -44,7 +44,9 @@ class TestGen:
     @pytest.mark.parametrize("params, message", [
         ("kneser 22 10", "n=646646 outside 0..64"),
         ("random_regular 2000000 3 1", "n=2000000 outside 0..64"),
-        ("random_regular 4 1 0", "no valid (4,1)-regular graph in 1000 attempts"),
+        ("random_regular 4 1 0",
+         "no connected 1-regular graph on n=4 vertices (d <= 1 needs n = d + 1)"),
+        ("random_regular 10 6 1", "no valid (10,6)-regular graph in 1000 attempts"),
         ("random_regular 12 3 -7", "random_regular needs seed >= 0, got -7"),
         ("complete_bipartite 0 0", "complete_bipartite needs a >= 1, got 0"),
         ("circulant 2 1", "circulant needs n >= 3, got 2"),

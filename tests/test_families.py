@@ -82,8 +82,16 @@ def test_random_regular():
         random_regular(5, 3, seed=1)
     assert random_regular(8, 3, seed=1) == g  # deterministic
     assert random_regular(8, 3, seed=2) != g  # seed actually matters
-    with pytest.raises(RetriesExhausted):
-        random_regular(4, 1, seed=0)  # every perfect matching on 4 vertices is disconnected
+    # K1 and K2 are the only connected graphs of degree at most 1; a larger n
+    # is refused before any attempt.
+    assert random_regular(1, 0, seed=1) == complete(1)
+    assert random_regular(2, 1, seed=1) == complete(2)
+    with pytest.raises(InvalidParams, match=r"no connected 1-regular graph on n=4 vertices"):
+        random_regular(4, 1, seed=0)
+    with pytest.raises(InvalidParams, match=r"no connected 0-regular graph on n=6 vertices"):
+        random_regular(6, 0, seed=1)
+    with pytest.raises(RetriesExhausted, match=r"no valid \(10,6\)-regular graph in 1000 attempts"):
+        random_regular(10, 6, seed=1)
     # random.Random(-7) replays seed 7, so -7 would be a second name for it.
     with pytest.raises(InvalidParams, match="seed >= 0, got -7"):
         random_regular(12, 3, seed=-7)

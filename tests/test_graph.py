@@ -19,7 +19,7 @@ from toughlab.families import cycle, complete, kneser, petersen
 from toughlab.graph import MAX_VERTICES, _require_regular, count_components
 from toughlab.toughness import toughness_of_cut
 
-from conftest import graphs, independent_sets_of_size
+from conftest import graphs, independent_sets_of_size, two_cycles
 
 
 def path(n):
@@ -223,13 +223,6 @@ def union_find_groups(g, keep):
     return sorted(map(sorted, groups.values()))
 
 
-def two_cycles(n):
-    """The even and the odd vertices of 0..n-1, each a cycle: disconnected,
-    and each component spans the whole range of vertex labels."""
-    closing = [(0, range(0, n, 2)[-1]), (1, range(1, n, 2)[-1])]
-    return from_edge_list(n, [(v, v + 2) for v in range(n - 2)] + closing)
-
-
 class TestComponentKernel:
     @given(graphs(30).flatmap(
         lambda g: vertex_subsets(g).map(lambda removed: (g, removed))))
@@ -275,6 +268,15 @@ class TestEdgeCounters:
     def test_sum_of_degrees(self, g):
         full = VertexSet(g.n, (1 << g.n) - 1)
         assert e_between(g, full, full) == 2 * g.m
+
+    @given(graphs(), st.data())
+    def test_matches_pair_count(self, g, data):
+        # A and B are drawn independently, so they may overlap.
+        a = data.draw(vertex_subsets(g))
+        b = data.draw(vertex_subsets(g))
+        pairs = sum(a.bits >> u & b.bits >> v & g.adj[u] >> v & 1
+                    for u in range(g.n) for v in range(g.n))
+        assert e_between(g, a, b) == pairs
 
     @given(graphs(8), st.data())
     def test_symmetry_and_additivity(self, g, data):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
 
 from toughlab import spectrum
 from toughlab import spectra
@@ -16,7 +17,19 @@ from toughlab.families import (
     petersen,
     random_regular,
 )
-from toughlab.graph import from_edge_list
+from toughlab.graph import MAX_VERTICES, from_edge_list
+
+from conftest import graphs, two_cycles
+
+
+@given(graphs())
+@example(two_cycles(MAX_VERTICES))
+def test_adjacency_matrix_matches_rows(g):
+    # A relabelled matrix has the same eigenvalues, so the spectrum tests
+    # cannot see one; compare each entry with the adjacency bitmask.
+    a = spectra.adjacency_matrix(g)
+    assert a.dtype == np.float64 and a.shape == (g.n, g.n)
+    assert all(a[u, v] == g.adj[u] >> v & 1 for u in range(g.n) for v in range(g.n))
 
 
 def test_complete4_spectrum():
