@@ -49,9 +49,9 @@ EXIT_BROKEN_PIPE = 141
 REPORT_SCHEMA = "toughlab-report/1"
 
 DEFAULT_SAMPLES = 100_000
-# 10^6 sampled pairs take about 0.15 s at n = 64 (hypercube 6 or K_64; 2-core
+# 10^6 sampled pairs take about 0.08 s at n = 64 (hypercube 6 or K_64; 2-core
 # x86-64, CPython 3.11, numpy 2.4), so the cap bounds one graph's sampling to
-# a few seconds.
+# about a second.
 MAX_SAMPLES = 10_000_000
 DEFAULT_SEED = 42
 

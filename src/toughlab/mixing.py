@@ -16,7 +16,10 @@ of |e(A) - d|A|^2/(2n)| <= (lam/2) |A| (1-|A|/n).
 slack, for single pairs and for the sampled scan, which looks both terms up
 in per-size tables.  The sampled pairs come from CPython's ``getrandbits``
 stream, drawn in bulk through numpy's MT19937; the first sampled scan of a
-process pays a one-time ``numpy.random`` import.  The exhaustive scan
+process pays a one-time ``numpy.random`` import.  The sampled scan counts
+e(A,B) exactly, for every n up to 64, from per-byte bit planes of
+neighbour counts: one lookup, AND and popcount per byte of B and bit of a
+count, instead of one pass per vertex.  The exhaustive scan
 (n <= ``EXHAUSTIVE_MAX_N``), which never forms the 4^n pairs, picks its pair
 from per-size tables of its own.
 """
@@ -34,9 +37,10 @@ from .spectra import LAMBDA_EPS, _check_lambda
 from .toughness import max_components_over_cuts
 
 EXHAUSTIVE_MAX_N = 10
-# Pairs scored per step of the sampled scan: each uint64 work array is then
-# 64 KiB, under glibc's default 128 KiB mmap threshold, so the scan reuses
-# heap pages instead of faulting in fresh ones for every temporary.
+# Pairs scored per step of the sampled scan: each uint64 array of one word
+# per pair is then 64 KiB, under glibc's default 128 KiB mmap threshold, so
+# the scan reuses heap pages instead of faulting in fresh ones for every
+# temporary.
 SAMPLE_CHUNK = 8192
 
 
@@ -171,17 +175,41 @@ def _size_tables(d: int, n: int, lam: float):
     return tuple(t.ravel() for t in _size_terms(d, n, lam, sizes[:, None], sizes))
 
 
-def _chunk_slack(adj: np.ndarray, tables, a_masks: np.ndarray, b_masks: np.ndarray):
+def _count_planes(g: Graph, d: int) -> np.ndarray:
+    """``planes[k, j, beta]``: the uint64 mask of the vertices u for which bit
+    j of |N(u) & (beta << 8k)| is set, for each byte k of a set, each byte
+    value beta and each bit j of a count of at most min(d, 8)."""
+    nbytes = -(-g.n // 8)
+    adj = np.array(g.adj, dtype="<u8")
+    # rows[k, u] is byte k of N(u); counts[k, beta, u] = |N(u) & (beta << 8k)|.
+    rows = adj.view(np.uint8).reshape(-1, 8)[:, :nbytes].T
+    counts = np.bitwise_count(rows[:, None, :] & np.arange(256, dtype=np.uint8)[:, None])
+    levels = np.arange(min(d, 8).bit_length(), dtype=np.uint8)
+    bits = counts[:, None] >> levels[:, None, None] & 1
+    # Vertex u is bit u of its mask: pack each row of bits little-endian.
+    packed = np.zeros((*bits.shape[:-1], 8), dtype=np.uint8)
+    packed[..., :nbytes] = np.packbits(bits, axis=-1, bitorder="little")
+    return packed.view("<u8")[..., 0]
+
+
+def _chunk_slack(n: int, planes: np.ndarray, tables, a_masks: np.ndarray, b_masks: np.ndarray):
     """``_slack`` of each pair (a_masks[i], b_masks[i]) of uint64 masks, with
-    expected and bound looked up in ``_size_tables``; ``adj`` holds N(v)."""
-    n = len(adj)
-    # b_bits[v] is bit v of every B, unpacked from its little-endian bytes.
-    b_bytes = b_masks.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8).T
-    b_bits = np.unpackbits(b_bytes, axis=0, count=n, bitorder="little")
-    # e(A,B) = sum over v in B of |N(v) & A|, exactly: e <= n*d <= 4032.
+    expected and bound looked up in ``_size_tables``.
+
+    With beta_k byte k of B, e(A,B) = sum over k of sum over u in A of
+    |N(u) & beta_k|, and that count's bit j is set exactly for the u in
+    ``planes[k, j, beta_k]`` (``_count_planes``).  So e(A,B) is the sum over
+    j of 2^j sum over k of |A & planes[k, j, beta_k]|: one table lookup, AND
+    and popcount per byte and bit plane.  Each plane's sum is at most
+    8 * 64 and e <= n*d <= 4032, so uint16 holds both exactly.
+    """
+    b_bytes = b_masks.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
+    sums = np.zeros((planes.shape[1], len(a_masks)), dtype=np.uint16)
+    for k, plane in enumerate(planes):
+        sums += np.bitwise_count(plane.take(b_bytes[:, k], axis=1) & a_masks)
     e = np.zeros(len(a_masks), dtype=np.uint16)
-    for row, bits in zip(adj, b_bits):
-        e += np.bitwise_count(a_masks & row) * bits
+    for j, plane_sum in enumerate(sums):
+        e += plane_sum << j
     at = np.bitwise_count(a_masks).astype(np.intp) * (n + 1) + np.bitwise_count(b_masks)
     expected, bound = tables
     return _slack(expected[at], bound[at], e)
@@ -197,8 +225,9 @@ def sampled_mixing_verify(g: Graph, samples: int, seed: int, lam: float) -> Mixi
     imported on the first call).  The pairs are scored ``SAMPLE_CHUNK`` at a
     time, in stream order, by ``_slack`` on expected and bound looked up in
     tables over every (|A|, |B|), whose entries are ``_size_terms``' own
-    roundings; the first pair of least reported slack is kept, as a single
-    pass would keep it.
+    roundings, and on the exact e(A,B) from the graph's ``_count_planes``
+    (at most 8 * 4 * 256 words, 64 KiB, built once per call); the first
+    pair of least reported slack is kept, as a single pass would keep it.
     """
     _check_lambda(lam)
     d = _mixing_degree(g)
@@ -211,13 +240,13 @@ def sampled_mixing_verify(g: Graph, samples: int, seed: int, lam: float) -> Mixi
     n = g.n
     stream = _getrandbits_stream(seed)
     tables = _size_tables(d, n, lam)
-    adj = np.array(g.adj, dtype=np.uint64)
+    planes = _count_planes(g, d)
     worst = None
     for start in range(0, samples, SAMPLE_CHUNK):
         count = min(SAMPLE_CHUNK, samples - start)
         # Draws alternate A, B; the transposed copy makes each side contiguous.
         a_masks, b_masks = _random_masks(stream, n, 2 * count).reshape(count, 2).T.copy()
-        slack = _chunk_slack(adj, tables, a_masks, b_masks)
+        slack = _chunk_slack(n, planes, tables, a_masks, b_masks)
         i = int(np.argmin(slack))
         # A finite lam makes every slack finite, so no NaN can hide a minimum.
         if worst is None or slack[i] < worst[0]:

@@ -12,7 +12,10 @@ are then copied into its columns.  This equals rotating A's columns, then its
 rows, then V's columns, bit for bit: A stays exactly symmetric, so off the
 2x2 pivot block the row rotation computes the same products and the same
 difference as the column rotation, and the block itself is computed in the
-two-stage order.
+two-stage order.  Column q is written after each rotation, column p once
+after its p-loop: there the only read of column p is rq[p], which enters
+only the new rp[p] and rq[p], and both are overwritten (by the 2x2 block and
+by 0.0) before any later use, so the deferred write changes no bit.
 """
 
 from __future__ import annotations
@@ -103,8 +106,8 @@ def _jacobi_eigh(a0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                 rp[p] = c * pp - s * qp
                 rq[q] = s * pq + c * qq
                 rp[q] = rq[p] = 0.0
-                a[:, p] = rp[:n]
                 a[:, q] = rq[:n]
+            a[:, p] = rp[:n]
     raise NoConvergence(
         f"Jacobi sweeps did not reach off-diagonal norm {DEFAULT_TOL} "
         f"in {DEFAULT_MAX_SWEEPS} sweeps"

@@ -19,6 +19,7 @@ from toughlab import (
 from toughlab.errors import GraphTooLarge, PreconditionViolated
 from toughlab.families import (
     build,
+    circulant,
     complete,
     complete_bipartite,
     cycle,
@@ -34,6 +35,7 @@ from toughlab import mixing
 from toughlab.mixing import (
     EXHAUSTIVE_MAX_N,
     _chunk_slack,
+    _count_planes,
     _getrandbits_stream,
     _random_masks,
     _size_tables,
@@ -276,9 +278,64 @@ def test_chunk_slack_matches_per_pair_slack(g):
     ka = np.bitwise_count(a_masks).astype(np.float64)
     kb = np.bitwise_count(b_masks).astype(np.float64)
     per_pair = _slack(*_size_terms(d, n, lam, ka, kb), e)
-    adj = np.array(g.adj, dtype=np.uint64)
-    table = _chunk_slack(adj, _size_tables(d, n, lam), a_masks, b_masks)
+    planes = _count_planes(g, d)
+    table = _chunk_slack(n, planes, _size_tables(d, n, lam), a_masks, b_masks)
     assert table.dtype == per_pair.dtype == np.float64
+    assert table.tobytes() == per_pair.tobytes()
+
+
+@pytest.mark.parametrize("g", [
+    from_edge_list(1, []),
+    cycle(7),
+    complete(9),
+    cycle(23),
+    circulant(23, 1, 2),
+    circulant(41, 1, 2, 3),
+    kneser(8, 3),
+    circulant(64, 32),
+    hypercube(6),
+], ids=["n1", "cycle7", "complete9", "cycle23", "circulant23_1_2",
+        "circulant41_1_2_3", "kneser8_3", "matching64", "hypercube6"])
+def test_count_planes_match_brute_force(g):
+    # Bit planes L = 0 (n = 1), 1 (the matching), 2, 3 and 4, against
+    # |N(u) & beta_k| counted one vertex at a time.
+    n, d = g.n, g.degree(0)
+    levels = min(d, 8).bit_length()
+    planes = _count_planes(g, d)
+    assert planes.shape == (-(-n // 8), levels, 256)
+    for k in range(planes.shape[0]):
+        for beta in range(256):
+            counts = [(g.adj[u] & beta << 8 * k).bit_count() for u in range(n)]
+            assert max(counts) < 1 << levels
+            for j in range(levels):
+                want = sum(1 << u for u, c in enumerate(counts) if c >> j & 1)
+                assert int(planes[k, j, beta]) == want
+
+
+@st.composite
+def regular_graphs_off_byte(draw):
+    """A relabelled circulant: regular, with n not a multiple of 8, so the
+    last byte of every set is partial."""
+    n = draw(st.integers(3, 63).filter(lambda n: n % 8))
+    offsets = draw(st.sets(st.integers(1, n // 2), min_size=1))
+    perm = draw(st.permutations(range(n)))
+    edges = circulant(n, *offsets).edges()
+    return from_edge_list(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+@settings(deadline=None)
+@given(regular_graphs_off_byte(), st.data())
+def test_chunk_slack_matches_per_pair_slack_on_regular_graphs(g, data):
+    n, d, lam = g.n, g.degree(0), 1.5
+    mask = st.integers(0, (1 << n) - 1)
+    pairs = data.draw(st.lists(st.tuples(mask, mask), min_size=1, max_size=40))
+    a_masks = np.array([a for a, _ in pairs], dtype=np.uint64)
+    b_masks = np.array([b for _, b in pairs], dtype=np.uint64)
+    e = np.array([e_between(g, VertexSet(n, a), VertexSet(n, b)) for a, b in pairs])
+    ka = np.bitwise_count(a_masks).astype(np.float64)
+    kb = np.bitwise_count(b_masks).astype(np.float64)
+    per_pair = _slack(*_size_terms(d, n, lam, ka, kb), e)
+    table = _chunk_slack(n, _count_planes(g, d), _size_tables(d, n, lam), a_masks, b_masks)
     assert table.tobytes() == per_pair.tobytes()
 
 

@@ -160,6 +160,63 @@ def test_jacobi_matches_reference(g):
     assert_jacobi_bit_identical(g)
 
 
+def per_rotation_jacobi_eigh(a0):
+    """The fused solver writing A's column p after every rotation, not once
+    after each p-loop: ``spectra`` must match it bit for bit."""
+    n = a0.shape[0]
+    m = np.hstack([a0, np.eye(n)])
+    a = m[:, :n]
+    off_mask = ~np.eye(n, dtype=bool)
+    for _ in range(spectra.DEFAULT_MAX_SWEEPS):
+        off = math.sqrt(float((a[off_mask] ** 2).sum()))
+        if off < spectra.DEFAULT_TOL:
+            return np.diagonal(a).copy(), m[:, n:].T.copy()
+        for p in range(n - 1):
+            rp = m[p]
+            for q in range(p + 1, n):
+                apq = rp.item(q)
+                if apq == 0.0:
+                    continue
+                rq = m[q]
+                app = rp.item(p)
+                aqq = rq.item(q)
+                theta = (aqq - app) / (2.0 * apq)
+                sign = 1.0 if theta >= 0.0 else -1.0
+                t = sign / (abs(theta) + math.hypot(theta, 1.0))
+                c = 1.0 / math.sqrt(t * t + 1.0)
+                s = t * c
+                pp = c * app - s * apq
+                qp = c * apq - s * aqq
+                pq = s * app + c * apq
+                qq = s * apq + c * aqq
+                cp = c * rp
+                sq = s * rq
+                sp = s * rp
+                cq = c * rq
+                np.subtract(cp, sq, out=rp)
+                np.add(sp, cq, out=rq)
+                rp[p] = c * pp - s * qp
+                rq[q] = s * pq + c * qq
+                rp[q] = rq[p] = 0.0
+                a[:, p] = rp[:n]
+                a[:, q] = rq[:n]
+    raise AssertionError("per-rotation Jacobi did not converge")
+
+
+# The spectral_wide benchmark's graphs, all past the toughness cap.
+SPECTRAL_WIDE = [kneser(7, 3), kneser(8, 3), hypercube(6), circulant(40, 1, 5, 9),
+                 random_regular(48, 3, 1), random_regular(60, 4, 1)]
+
+
+def test_jacobi_column_p_once_per_p_loop(corpus):
+    for g in [g for _, g in corpus] + SPECTRAL_WIDE:
+        a0 = spectra.adjacency_matrix(g)
+        diag, vecs = spectra._jacobi_eigh(a0)
+        ref_diag, ref_vecs = per_rotation_jacobi_eigh(a0)
+        assert diag.tobytes() == ref_diag.tobytes()
+        assert vecs.tobytes() == ref_vecs.tobytes()
+
+
 def test_no_convergence(monkeypatch):
     monkeypatch.setattr(spectra, "DEFAULT_MAX_SWEEPS", 1)
     with pytest.raises(NoConvergence,
