@@ -7,15 +7,26 @@ fixed (row-major over the upper triangle) so results are bit-stable across
 runs on one platform.
 
 The solver keeps A and the transposed eigenvector matrix V side by side in one
-n x 2n array, so a rotation is one pass over two rows of length 2n; A's rows
+n x 2n array m, so a rotation is one pass over two rows of length 2n; A's rows
 are then copied into its columns.  This equals rotating A's columns, then its
 rows, then V's columns, bit for bit: A stays exactly symmetric, so off the
 2x2 pivot block the row rotation computes the same products and the same
 difference as the column rotation, and the block itself is computed in the
-two-stage order.  Column q is written after each rotation, column p once
-after its p-loop: there the only read of column p is rq[p], which enters
-only the new rp[p] and rq[p], and both are overwritten (by the 2x2 block and
-by 0.0) before any later use, so the deferred write changes no bit.
+two-stage order.
+
+Rows p and q are rotated in a preallocated 2 x 2n buffer.  Row p stays in its
+first row for the whole p-loop and row q is copied into its second; two
+multiplies form c and s times both rows, one subtract gives the new row p in
+the buffer and one add writes the new row q straight into m.  Each new entry
+is still one rounded difference or sum of two rounded products, so no bit
+changes (no BLAS, einsum or matmul, which may fuse multiply-adds).  m[p] is
+stale during its own p-loop and nothing reads it: a rotation reads only
+row q from m, and the column-q writes into m[p] are overwritten when the
+buffer's row p is copied back at the loop's end.  A[p, p] is carried as a
+Python float and stored then.  Column q is written after each rotation,
+column p once after its p-loop.  Entry p of the buffer's row p and of m's
+row q hold stale values inside the loop, but they feed only each other and
+column p's write overwrites row q's entry p, so it needs no zero store.
 """
 
 from __future__ import annotations
@@ -70,20 +81,28 @@ def _jacobi_eigh(a0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n = a0.shape[0]
     m = np.hstack([a0, np.eye(n)])  # row i: A's row i, then V's column i
     a = m[:, :n]
+    rows, heads, cols = list(m), list(a), list(a.T)
+    pair, pc, ps = np.empty((3, 2, 2 * n))  # rows p and q; times c; times s
+    rp, rq = pair
+    pc0, pc1 = pc
+    ps0, ps1 = ps
+    # c and s go in as 0-d arrays: numpy wraps a Python float operand in a
+    # fresh array on every call.
+    cv, sv = np.empty(()), np.empty(())
     off_mask = ~np.eye(n, dtype=bool)
     for _ in range(DEFAULT_MAX_SWEEPS):
         off = math.sqrt(float((a[off_mask] ** 2).sum()))
         if off < DEFAULT_TOL:
             return np.diagonal(a).copy(), m[:, n:].T.copy()
         for p in range(n - 1):
-            rp = m[p]
+            np.copyto(rp, rows[p])  # m[p] is stale until the loop ends
+            app = rp.item(p)
             for q in range(p + 1, n):
                 apq = rp.item(q)
                 if apq == 0.0:
                     continue
-                rq = m[q]
-                app = rp.item(p)
-                aqq = rq.item(q)
+                mq = rows[q]
+                aqq = mq.item(q)
                 theta = (aqq - app) / (2.0 * apq)
                 sign = 1.0 if theta >= 0.0 else -1.0
                 # hypot keeps this finite even for near-zero pivots
@@ -97,17 +116,20 @@ def _jacobi_eigh(a0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                 qp = c * apq - s * aqq
                 pq = s * app + c * apq
                 qq = s * apq + c * aqq
-                cp = c * rp
-                sq = s * rq
-                sp = s * rp
-                cq = c * rq
-                np.subtract(cp, sq, out=rp)
-                np.add(sp, cq, out=rq)
-                rp[p] = c * pp - s * qp
-                rq[q] = s * pq + c * qq
-                rp[q] = rq[p] = 0.0
-                a[:, q] = rq[:n]
-            a[:, p] = rp[:n]
+                np.copyto(rq, mq)
+                cv[()] = c
+                sv[()] = s
+                np.multiply(pair, cv, out=pc)
+                np.multiply(pair, sv, out=ps)
+                np.subtract(pc0, ps1, out=rp)
+                np.add(ps0, pc1, out=mq)
+                app = c * pp - s * qp
+                mq[q] = s * pq + c * qq
+                rp[q] = 0.0
+                np.copyto(cols[q], heads[q])
+            rp[p] = app
+            np.copyto(rows[p], rp)
+            np.copyto(cols[p], heads[p])
     raise NoConvergence(
         f"Jacobi sweeps did not reach off-diagonal norm {DEFAULT_TOL} "
         f"in {DEFAULT_MAX_SWEEPS} sweeps"

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 
 from toughlab import spectrum
 from toughlab import spectra
@@ -215,6 +215,50 @@ def test_jacobi_column_p_once_per_p_loop(corpus):
         ref_diag, ref_vecs = per_rotation_jacobi_eigh(a0)
         assert diag.tobytes() == ref_diag.tobytes()
         assert vecs.tobytes() == ref_vecs.tobytes()
+
+
+# Each graph skips every rotation of some p-loop, so the row pair is copied
+# in and out untouched: no edges, two components, one vertex, one edge.
+@settings(deadline=None)
+@given(graphs(24))
+@example(from_edge_list(4, []))
+@example(from_edge_list(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]))
+@example(from_edge_list(1, []))
+@example(from_edge_list(2, [(0, 1)]))
+def test_jacobi_bit_identical_on_random_graphs(g):
+    a0 = spectra.adjacency_matrix(g)
+    diag, vecs = spectra._jacobi_eigh(a0)
+    for ref in (reference_jacobi_eigh, per_rotation_jacobi_eigh):
+        ref_diag, ref_vecs = ref(a0)
+        assert diag.tobytes() == ref_diag.tobytes()
+        assert vecs.tobytes() == ref_vecs.tobytes()
+
+
+def with_examples(gs):
+    """``@example(g)`` for each graph g of ``gs``."""
+    def decorate(test):
+        for g in gs:
+            test = example(g)(test)
+        return test
+    return decorate
+
+
+@settings(deadline=None)
+@given(graphs(MAX_VERTICES))
+@with_examples([two_cycles(MAX_VERTICES)] + SPECTRAL_WIDE)
+def test_spectrum_matches_eigvalsh(g):
+    # An oracle outside the Jacobi family: LAPACK's symmetric solver on a
+    # matrix built here from the adjacency bitmasks.
+    a = np.array([[g.adj[u] >> v & 1 for v in range(g.n)] for u in range(g.n)],
+                 dtype=float)
+    want = np.linalg.eigvalsh(a)[::-1]
+    prof = spectrum(g)
+    assert np.abs(np.array(prof.eigenvalues) - want).max() <= 1e-9
+    if g.n >= 2:
+        assert abs(prof.lam - max(abs(want[1]), abs(want[-1]))) <= 1e-9
+    else:
+        assert prof.lam is None
+    assert prof.residual <= 1e-8
 
 
 def test_no_convergence(monkeypatch):
