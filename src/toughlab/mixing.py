@@ -139,7 +139,12 @@ def exhaustive_mixing_verify(g: Graph, lam: float) -> MixingCheck:
 def _getrandbits_stream(seed: int):
     """numpy's MT19937 in the state of ``random.Random(seed)``: its
     ``random_raw`` words are the 32-bit outputs ``getrandbits`` would use."""
-    from numpy.random import MT19937  # about 14 ms, so only when sampling
+    # The import costs about 14 ms, so only when sampling.  A pure-Python
+    # source, np.frombuffer(getrandbits(32*K).to_bytes(...)), would drop it
+    # but took 0.56-0.63 ms against 0.11-0.16 ms for random_raw(K) at
+    # K = 32,768 (timeit, numpy 2.4, 2 shared cores): 2-3 ms more per
+    # 100,000-sample graph, so about 60 ms more per verify-corpus pass.
+    from numpy.random import MT19937
 
     state = random.Random(seed).getstate()[1]
     # Seed 0 only skips the OS entropy read: the state is replaced at once.

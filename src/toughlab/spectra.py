@@ -27,6 +27,16 @@ Python float and stored then.  Column q is written after each rotation,
 column p once after its p-loop.  Entry p of the buffer's row p and of m's
 row q hold stale values inside the loop, but they feed only each other and
 column p's write overwrites row q's entry p, so it needs no zero store.
+
+A rotation costs a few microseconds of call overhead and little arithmetic,
+so the loop avoids numpy's Python-level dispatch.  Copies are ``dst[...] =
+src``, not ``np.copyto``, whose ``__array_function__`` dispatcher runs in
+Python on every call under numpy 2: a 128-element row copy took about
+0.75 us with ``np.copyto`` and 0.27 us with ``[...] =``, a strided column
+copy 0.9 and 0.45 us (timeit, numpy 2.4.6).  The three ufuncs are bound to
+locals once per call and take ``out`` positionally, which spares a module
+lookup and a keyword argument per call.  Neither choice changes a copied
+value or a rounded product, difference or sum.
 """
 
 from __future__ import annotations
@@ -89,13 +99,14 @@ def _jacobi_eigh(a0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # c and s go in as 0-d arrays: numpy wraps a Python float operand in a
     # fresh array on every call.
     cv, sv = np.empty(()), np.empty(())
+    multiply, subtract, add = np.multiply, np.subtract, np.add
     off_mask = ~np.eye(n, dtype=bool)
     for _ in range(DEFAULT_MAX_SWEEPS):
         off = math.sqrt(float((a[off_mask] ** 2).sum()))
         if off < DEFAULT_TOL:
             return np.diagonal(a).copy(), m[:, n:].T.copy()
         for p in range(n - 1):
-            np.copyto(rp, rows[p])  # m[p] is stale until the loop ends
+            rp[...] = rows[p]  # m[p] is stale until the loop ends
             app = rp.item(p)
             for q in range(p + 1, n):
                 apq = rp.item(q)
@@ -116,20 +127,20 @@ def _jacobi_eigh(a0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                 qp = c * apq - s * aqq
                 pq = s * app + c * apq
                 qq = s * apq + c * aqq
-                np.copyto(rq, mq)
+                rq[...] = mq
                 cv[()] = c
                 sv[()] = s
-                np.multiply(pair, cv, out=pc)
-                np.multiply(pair, sv, out=ps)
-                np.subtract(pc0, ps1, out=rp)
-                np.add(ps0, pc1, out=mq)
+                multiply(pair, cv, pc)
+                multiply(pair, sv, ps)
+                subtract(pc0, ps1, rp)
+                add(ps0, pc1, mq)
                 app = c * pp - s * qp
                 mq[q] = s * pq + c * qq
                 rp[q] = 0.0
-                np.copyto(cols[q], heads[q])
+                cols[q][...] = heads[q]
             rp[p] = app
-            np.copyto(rows[p], rp)
-            np.copyto(cols[p], heads[p])
+            rows[p][...] = rp
+            cols[p][...] = heads[p]
     raise NoConvergence(
         f"Jacobi sweeps did not reach off-diagonal norm {DEFAULT_TOL} "
         f"in {DEFAULT_MAX_SWEEPS} sweeps"

@@ -151,11 +151,13 @@ def test_jacobi_matches_reference_on_corpus(corpus):
     hypercube(5),
     random_regular(20, 3, 1),
     circulant(40, 1, 5, 9),
+    kneser(8, 3),
+    hypercube(6),
     from_edge_list(5, [(i, i + 1) for i in range(4)]),
     from_edge_list(1, []),
     from_edge_list(2, [(0, 1)]),
 ], ids=["kneser7_3", "hypercube5", "rr20_3_1", "circulant40_1_5_9",
-        "path5", "n1", "n2"])
+        "kneser8_3", "hypercube6", "path5", "n1", "n2"])
 def test_jacobi_matches_reference(g):
     assert_jacobi_bit_identical(g)
 
