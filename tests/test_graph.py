@@ -63,6 +63,16 @@ class TestFromEdgeList:
                 assert g.adj[u] >> v & 1 == g.adj[v] >> u & 1
         assert g.m * 2 == sum(row.bit_count() for row in g.adj)
 
+    def test_edge_order_leaves_value_unchanged(self):
+        # Each graph builds its own half neighbourhood tables; equality,
+        # hashing, repr and graph6 see only n, adj and m.
+        edges = two_cycles(24).edges()
+        g, h = from_edge_list(24, edges), from_edge_list(24, edges[::-1])
+        assert g == h
+        assert hash(g) == hash(h)
+        assert repr(g) == repr(h) == f"Graph(n=24, adj={g.adj!r}, m=24)"
+        assert emit_graph6(g) == emit_graph6(h)
+
 
 class TestGraph6:
     def test_triangle_golden(self):
@@ -228,11 +238,16 @@ class TestComponentKernel:
         lambda g: vertex_subsets(g).map(lambda removed: (g, removed))))
     @example((two_cycles(24), VertexSet.of(24, [0, 1, 12])))
     @example((two_cycles(25), VertexSet.of(25, [0, 1, 12])))
+    @example((two_cycles(23), VertexSet.of(23, [0, 20])))
+    @example((two_cycles(24), VertexSet.of(24, [1, 21])))
+    @example((from_edge_list(0, []), VertexSet(0)))
     @example((two_cycles(MAX_VERTICES), VertexSet.of(MAX_VERTICES, [0, 1, 61])))
     def test_matches_union_find(self, case):
         # The examples run on every draw: an even and an odd n, and n at the
         # vertex cap, where removing 1 and 61 leaves the top vertex, 63, as a
-        # component of its own.
+        # component of its own.  At n = 23 and 24, the largest odd and even n
+        # with half tables, the removals leave the top vertex of the high
+        # half (22, 23) alone; n = 0 has empty tables and no component.
         g, removed = case
         expected = union_find_groups(g, removed.complement().bits)
         comps = components(g, removed)
