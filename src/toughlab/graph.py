@@ -6,10 +6,11 @@ bitmask, so set intersections and edge counts reduce to ``&`` and
 changes after construction.  Components are found by one walk,
 ``_component_masks``.  On a graph with at most ``HALF_TABLE_MAX_N`` vertices
 it takes one step per BFS layer: two half neighbourhood tables, built with the
-graph, give a layer's neighbourhood in two lookups.  A larger graph has no
-tables, and the walk takes one step per vertex through its adjacency row.
-The tables are a field that equality, hashing, ``repr`` and the graph6
-encoding ignore.
+graph, give a layer's neighbourhood in two lookups.  The cut search's BFS for
+joining paths (``toughness._joining_path``) reads the same tables.  A larger
+graph has no tables, and both walks take one step per vertex through its
+adjacency row.  The tables are a field that equality, hashing, ``repr`` and
+the graph6 encoding ignore.
 """
 
 from __future__ import annotations
@@ -25,12 +26,14 @@ from .errors import GraphError, PreconditionViolated
 MAX_VERTICES = 64
 
 # Largest n whose graphs carry the half neighbourhood tables of
-# ``Graph._halves``.  A table has 2^ceil(n/2) entries: 4096 at n = 24, the
-# default exact-toughness cap, where building both takes about 0.3 ms.  Past
-# it the tables double with every two vertices (2^32 entries at n = 64)
-# while the exhaustive searches no longer run by default, so larger graphs
-# walk components one adjacency row per vertex.
-HALF_TABLE_MAX_N = 24
+# ``Graph._halves``.  A table has 2^ceil(n/2) entries; both together take
+# 321 KiB at n = 24 and 1.28 MiB at n = 28 (tracemalloc), built in about 0.4
+# and 2 ms.  Past n = 24 the search runs only under a raised ``max_n``, and
+# there the tables take exact t on rr(26,3,1), rr(26,4,1) and rr(28,3,1)
+# from 1.11, 0.44 and 2.28 s to 0.89, 0.33 and 1.79 s.  Past n = 28 they
+# keep doubling with every two vertices (2^32 entries at n = 64), so larger
+# graphs walk one adjacency row per vertex.
+HALF_TABLE_MAX_N = 28
 
 GRAPH6_HEADER = ">>graph6<<"
 
@@ -97,7 +100,8 @@ class Graph:
     # ``(w, low, lo, hi)`` for the split of 0..n-1 at w = ceil(n/2), or None
     # past ``HALF_TABLE_MAX_N``.  ``low`` masks vertices 0..w-1, ``lo[x]`` is
     # N(x) for x inside the low half and ``hi[y]`` is N(y << w), so
-    # N(S) = lo[S & low] | hi[S >> w] for any vertex set S.
+    # N(S) = lo[S & low] | hi[S >> w] for any vertex set S.  Both BFS walks
+    # read them: the component walk and the cut search's joining paths.
     _halves: tuple[int, int, list[int], list[int]] | None = field(
         init=False, repr=False, compare=False)
 

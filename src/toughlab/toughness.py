@@ -122,7 +122,9 @@ def _class_max(g: Graph, s: int, cap: int) -> tuple[int, int]:
 
 
 def _neighbourhood(g: Graph, bits: int) -> int:
-    """N(S) for the vertex set S given by ``bits``, one adjacency row per vertex."""
+    """N(S) for the vertex set S given by ``bits``, one adjacency row per
+    vertex: the fallback for a graph with no half tables (n >
+    ``HALF_TABLE_MAX_N``), where ``_joining_path`` cannot look N(S) up."""
     out = 0
     while bits:
         low = bits & -bits
@@ -138,17 +140,26 @@ def _joining_path(g: Graph, terminals: int, removed: int) -> int:
     A layer BFS from the lowest terminal not yet known to be alone in its
     component stops at the first layer holding another terminal, so the
     path is a shortest one from that terminal; it is traced back one
-    adjacent vertex per layer.
+    adjacent vertex per layer.  Each layer is one step: the graph's half
+    neighbourhood tables give N(front) in two lookups, the same tables the
+    component walk reads, and a graph with none takes ``_neighbourhood``'s
+    per-vertex union.
     """
+    halves = g._halves
+    if halves is not None:
+        w, low, lo, hi = halves
     free = ~removed & ((1 << g.n) - 1)
     rest = terminals
     while rest:
         front = rest & -rest
         rest ^= front
         layers = [front]
-        seen = front
+        unseen = free & ~front
         while front:
-            front = _neighbourhood(g, front) & free & ~seen
+            if halves is None:
+                front = _neighbourhood(g, front) & unseen
+            else:
+                front = (lo[front & low] | hi[front >> w]) & unseen
             hit = front & rest
             if hit:
                 x, path = hit & -hit, 0
@@ -157,7 +168,7 @@ def _joining_path(g: Graph, terminals: int, removed: int) -> int:
                     x = step & -step
                     path |= x
                 return path
-            seen |= front
+            unseen ^= front
             layers.append(front)
     return 0
 

@@ -240,14 +240,19 @@ class TestComponentKernel:
     @example((two_cycles(25), VertexSet.of(25, [0, 1, 12])))
     @example((two_cycles(23), VertexSet.of(23, [0, 20])))
     @example((two_cycles(24), VertexSet.of(24, [1, 21])))
+    @example((two_cycles(27), VertexSet.of(27, [0, 24])))
+    @example((two_cycles(28), VertexSet.of(28, [1, 25])))
+    @example((two_cycles(29), VertexSet.of(29, [0, 26])))
     @example((from_edge_list(0, []), VertexSet(0)))
     @example((two_cycles(MAX_VERTICES), VertexSet.of(MAX_VERTICES, [0, 1, 61])))
     def test_matches_union_find(self, case):
         # The examples run on every draw: an even and an odd n, and n at the
         # vertex cap, where removing 1 and 61 leaves the top vertex, 63, as a
-        # component of its own.  At n = 23 and 24, the largest odd and even n
-        # with half tables, the removals leave the top vertex of the high
-        # half (22, 23) alone; n = 0 has empty tables and no component.
+        # component of its own.  At n = 23, 24, 27 and 28 the removals leave
+        # the top vertex of the high half (22, 23, 26, 27) alone; 27 and 28
+        # are the largest odd and even n with half tables, and n = 29 has
+        # none, so it walks the same case one vertex at a time.  n = 0 has
+        # empty tables and no component.
         g, removed = case
         expected = union_find_groups(g, removed.complement().bits)
         comps = components(g, removed)

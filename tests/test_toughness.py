@@ -241,32 +241,38 @@ def _relabel(g, seed):
 
 
 @pytest.mark.parametrize(
-    "n, d, seed, t, c, witness, calls, questions",
+    "n, d, seed, t, c, witness, calls, questions, searches",
     [
-        (18, 3, 42, Fraction(7, 6), 6, 203785, 988, 26),
-        (20, 3, 42, Fraction(9, 8), 8, 766002, 1351, 30),
-        (18, 4, 42, Fraction(3, 2), 4, 5072, 988, 22),
-        (18, 3, 7, Fraction(7, 6), 6, 142612, 988, 25),
-        (20, 3, 7, Fraction(9, 8), 8, 986629, 1351, 30),
-        (18, 4, 7, Fraction(3, 2), 4, 70220, 988, 24),
+        (18, 3, 42, Fraction(7, 6), 6, 203785, 988, 26, 3089),
+        (20, 3, 42, Fraction(9, 8), 8, 766002, 1351, 30, 4661),
+        (18, 4, 42, Fraction(3, 2), 4, 5072, 988, 22, 1786),
+        (18, 3, 7, Fraction(7, 6), 6, 142612, 988, 25, 2495),
+        (20, 3, 7, Fraction(9, 8), 8, 986629, 1351, 30, 4901),
+        (18, 4, 7, Fraction(3, 2), 4, 70220, 988, 24, 1848),
     ],
     ids=["rr18_3_seed42", "rr20_3_seed42", "rr18_4_seed42",
          "rr18_3_seed7", "rr20_3_seed7", "rr18_4_seed7"],
 )
 def test_frontier_inputs_keep_the_witness(n, d, seed, t, c, witness, calls, questions,
-                                         monkeypatch):
+                                         searches, monkeypatch):
     # The benchmark's frontier graphs exactly as it writes them: after the
     # relabelling, class maxima come late in their classes, so these runs
     # take the question path for the class maxima and the witness.  The mask
     # count is the benchmark's traced toughness.masks for the graph: the
     # small classes, scanned whole, that the seed does not rule out.  The
-    # question count covers the class maxima and the witness walk.
+    # question count covers the class maxima and the witness walk, and the
+    # search count every ``_separates`` call the questions make, recursive
+    # ones included, which the module global routes through the counter.
+    # Each call finds its joining paths by BFS, so a layer step that reached
+    # a different neighbourhood would change the branching and this count.
     seen = count_calls(monkeypatch, "count_components")
     asked = count_calls(monkeypatch, "_separable")
+    searched = count_calls(monkeypatch, "_separates")
     result = exact_toughness(_relabel(random_regular(n, d, 1), seed))
     assert (result.t, result.components, result.witness.bits) == (t, c, witness)
     assert seen[0] == calls
     assert asked[0] == questions
+    assert searched[0] == searches
 
 
 def _w(g, terminals):
@@ -278,6 +284,62 @@ def _separated(g, terminals, removed):
     """Does every component of G - removed hold at most one terminal?"""
     return all((comp.bits & terminals).bit_count() <= 1
                for comp in components(g, VertexSet(g.n, removed)))
+
+
+def _reference_joining_path(g, terminals, removed):
+    """``_joining_path`` written out over Python sets, one adjacency row per
+    vertex: BFS from the lowest terminal not yet tried until a layer holds a
+    later terminal, then trace back from the lowest such terminal through
+    the lowest adjacent vertex of each earlier layer."""
+    free = {v for v in range(g.n) if not removed >> v & 1}
+    rest = sorted(v for v in range(g.n) if terminals >> v & 1)
+    while rest:
+        start = rest.pop(0)
+        layers, seen = [{start}], {start}
+        while layers[-1]:
+            layer = {u for v in layers[-1] for u in free - seen if g.adj[v] >> u & 1}
+            hits = layer.intersection(rest)
+            if hits:
+                x, path = min(hits), 0
+                for earlier in reversed(layers[1:]):
+                    x = min(u for u in earlier if g.adj[x] >> u & 1)
+                    path |= 1 << x
+                return path
+            seen |= layer
+            layers.append(layer)
+    return 0
+
+
+@st.composite
+def _path_questions(draw):
+    """A random graph with up to 30 vertices, an independent terminal set and
+    a removed set that misses it.  The edge and removal densities are drawn
+    too, so that most questions have a joining path, many with ties to
+    break in the trace back."""
+    n = draw(st.integers(1, 30))
+    rng = draw(st.randoms(use_true_random=False))
+    density, removal = rng.uniform(0.05, 0.4), rng.uniform(0, 0.4)
+    g = from_edge_list(n, [e for e in combinations(range(n), 2) if rng.random() < density])
+    terminals = 0
+    for v in draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=6)):
+        if not (g.adj[v] | 1 << v) & terminals:
+            terminals |= 1 << v
+    removed = sum(1 << v for v in range(n)
+                  if not terminals >> v & 1 and rng.random() < removal)
+    return g, terminals, removed
+
+
+@settings(deadline=None)
+@given(_path_questions())
+# One n each side of HALF_TABLE_MAX_N = 28, and the vertex cap, n = 64.  At
+# n = 28 the path runs from the low table half into the high one.
+@example((cycle(28), 1 | 1 << 14, 1 << 1))
+@example((cycle(29), 1 | 1 << 14, 1 << 28))
+@example((random_regular(64, 3, 1), 1 | 1 << 63, 0))
+def test_joining_path_matches_reference_bfs(case):
+    g, terminals, removed = case
+    assert toughness._joining_path(g, terminals, removed) == \
+        _reference_joining_path(g, terminals, removed)
 
 
 @settings(deadline=None)
@@ -296,9 +358,10 @@ def test_separation_search_matches_brute_force(g, q, data):
         removed = (removed - 1) & outside
     w = _w(g, terminals)
     assert least >= w.bit_count()
-    # Isolated vertices lie on no path, so padding G with them past the
-    # default cap of 24 changes no answer.
-    padded = from_edge_list(26, g.edges())
+    # Isolated vertices lie on no path, so padding G with them past
+    # ``HALF_TABLE_MAX_N`` = 28, onto the per-vertex BFS, changes no answer.
+    padded = from_edge_list(30, g.edges())
+    assert padded._halves is None
     for s in range(g.n - q + 1):
         budget = s - w.bit_count()
         got = budget >= 0 and toughness._separates(g, terminals, w, budget)
