@@ -94,8 +94,22 @@ def circulant(n: int, *offsets: int) -> Graph:
 def random_regular(n: int, d: int, seed: int) -> Graph:
     """Uniform pairing model: match d*n half-edges, reject bad outcomes.
 
-    An attempt is rejected if the matching yields a loop, a repeated edge, or
-    a disconnected graph.  Deterministic for a fixed seed.
+    Each attempt shuffles the N = d*n stubs, n copies of each vertex, and
+    pairs x[0] with x[1], x[2] with x[3], and so on.  It is rejected if a
+    pair is a loop or repeats an edge, or if the graph is disconnected.
+    Deterministic for a fixed seed.
+
+    The shuffle is ``random.shuffle`` written out: step i, for i = N-1 down
+    to 1, draws j = getrandbits(k) with k = (i + 1).bit_length() until
+    j <= i, then swaps x[i] and x[j].  After step i the positions i..N-1
+    never move again, so the pair at an even i is final there, and the pair
+    at 0 after step 1.  The pairs are checked as they become final, and the
+    first loop or repeated edge ends the attempt; whether some pair is bad
+    does not depend on the order they are checked in, so the same attempts
+    are rejected.  The remaining steps still draw their words, repeats
+    included, but swap nothing, so every attempt starts at the point of the
+    stream where ``random.shuffle`` would start it, and each seed names the
+    graph it always has.
     """
     if d < 0 or d >= n:
         raise InvalidParams(f"need 0 <= d < n, got d={d}, n={n}")
@@ -109,14 +123,26 @@ def random_regular(n: int, d: int, seed: int) -> Graph:
         # random.Random(-s) replays seed s.
         raise InvalidParams(f"random_regular needs seed >= 0, got {seed}")
     _require_vertex_count(n)
-    rng = random.Random(seed)
+    getrandbits = random.Random(seed).getrandbits
+    stubs = [v for v in range(n) for _ in range(d)]
+    steps = [(i, (i + 1).bit_length()) for i in range(len(stubs) - 1, 0, -1)]
     for _ in range(RANDOM_REGULAR_MAX_ATTEMPTS):
-        stubs = [v for v in range(n) for _ in range(d)]
-        rng.shuffle(stubs)
+        x = stubs[:]
         edges = set()
-        for u, v in zip(stubs[::2], stubs[1::2]):
+        rest = iter(steps)
+        for i, k in rest:
+            j = getrandbits(k)
+            while j > i:
+                j = getrandbits(k)
+            x[i], x[j] = x[j], x[i]
+            if i & 1 and i > 1:
+                continue  # x[i] is final, its partner x[i - 1] not yet
+            u, v = x[i & ~1], x[i | 1]
             edge = (u, v) if u < v else (v, u)
             if u == v or edge in edges:
+                for i, k in rest:
+                    while getrandbits(k) > i:
+                        pass
                 break
             edges.add(edge)
         else:

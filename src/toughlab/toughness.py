@@ -72,25 +72,30 @@ def _independent_sets(g: Graph, q: int, s: int, fixed: int = 0,
 
     Take or drop the lowest candidate; cut a branch once too few candidates
     remain to reach q, or once W leaves ``allowed`` or |fixed | W| > s, as W
-    only grows with I.
+    only grows with I.  The branches are walked depth first on an explicit
+    stack: a frame taking a candidate is set aside with its remaining
+    candidates, and the last vertex of I is yielded at once; q must be at
+    least 1.
     """
     adj = g.adj
     forbidden = ~allowed
-
-    def grow(size: int, cand: int, chosen: int, once: int,
-             twice: int) -> Iterator[tuple[int, int]]:
-        if size == q:
-            yield chosen, twice
-            return
+    last = q - 1
+    stack = [(0, (1 << g.n) - 1 & ~fixed, 0, 0, fixed)]
+    while stack:
+        size, cand, chosen, once, twice = stack.pop()
         while cand and size + cand.bit_count() >= q:
             low = cand & -cand
             cand ^= low
             row = adj[low.bit_length() - 1]
             w = twice | once & row
-            if not w & forbidden and w.bit_count() <= s:
-                yield from grow(size + 1, cand & ~row, chosen | low, once | row, w)
-
-    return grow(0, (1 << g.n) - 1 & ~fixed, 0, 0, fixed)
+            if w & forbidden or w.bit_count() > s:
+                continue
+            if size == last:
+                yield chosen | low, w
+            else:
+                stack.append((size, cand, chosen, once, twice))
+                size, cand, chosen, once, twice = (
+                    size + 1, cand & ~row, chosen | low, once | row, w)
 
 
 def _independence_number(g: Graph) -> int:
@@ -215,9 +220,10 @@ def _separable(g: Graph, q: int, s: int, fixed: int = 0, allowed: int = -1) -> b
     each (I, fixed | W(I)) that ``_independent_sets`` yields for this s.
     """
     allowed &= (1 << g.n) - 1
-    return any((allowed & ~i).bit_count() >= s
-               and _separates(g, i, w, s - w.bit_count(), allowed)
-               for i, w in _independent_sets(g, q, s, fixed, allowed))
+    for i, w in _independent_sets(g, q, s, fixed, allowed):
+        if (allowed & ~i).bit_count() >= s and _separates(g, i, w, s - w.bit_count(), allowed):
+            return True
+    return False
 
 
 def _first_mask(g: Graph, s: int, c: int) -> int:

@@ -1,8 +1,10 @@
+import random
 import re
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from toughlab import is_connected, regularity, spectrum
+from toughlab import families, from_edge_list, is_connected, regularity, spectrum
 from toughlab.errors import GraphError, InvalidParams, RetriesExhausted
 from toughlab.families import (
     FamilySpec,
@@ -95,6 +97,68 @@ def test_random_regular():
     # random.Random(-7) replays seed 7, so -7 would be a second name for it.
     with pytest.raises(InvalidParams, match="seed >= 0, got -7"):
         random_regular(12, 3, seed=-7)
+
+
+def _shuffle_model(n, d, seed):
+    """``random_regular`` as a whole ``random.shuffle`` of the stubs and a
+    scan of the pairs, each attempt run to its end: the reference for the
+    early rejection, which must name the same graph for every seed."""
+    rng = random.Random(seed)
+    for _ in range(families.RANDOM_REGULAR_MAX_ATTEMPTS):
+        stubs = [v for v in range(n) for _ in range(d)]
+        rng.shuffle(stubs)
+        edges = set()
+        for u, v in zip(stubs[::2], stubs[1::2]):
+            edge = (u, v) if u < v else (v, u)
+            if u == v or edge in edges:
+                break
+            edges.add(edge)
+        else:
+            g = from_edge_list(n, sorted(edges))
+            if is_connected(g):
+                return g
+    raise RetriesExhausted(
+        f"no valid ({n},{d})-regular graph in {families.RANDOM_REGULAR_MAX_ATTEMPTS} attempts")
+
+
+def _outcome(make, n, d, seed):
+    try:
+        return make(n, d, seed)
+    except RetriesExhausted as exc:
+        return f"RetriesExhausted: {exc}"
+
+
+# Every (n, d) that random_regular accepts with n <= 24 and d <= 6.
+_REGULAR_PARAMS = [(n, d) for n in range(1, 25) for d in range(min(n, 7))
+                   if not n * d % 2 and (d >= 2 or n == d + 1)]
+
+
+@settings(deadline=None)
+@given(st.sampled_from(_REGULAR_PARAMS), st.integers(0, 2**64))
+@example((1, 0), 0)
+@example((2, 1), 1)
+@example((10, 6), 1)
+def test_random_regular_matches_the_shuffle_model(params, seed):
+    # With a cap of 25 attempts, about 57 of 100 draws run out of attempts
+    # and 33 more need several, so the point of the stream at which each
+    # later attempt starts is compared too, and so is the error.
+    n, d = params
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(families, "RANDOM_REGULAR_MAX_ATTEMPTS", 25)
+        assert _outcome(random_regular, n, d, seed) == _outcome(_shuffle_model, n, d, seed)
+
+
+@pytest.mark.parametrize("spec", [
+    *(s for s in default_corpus() if s.family == "random_regular"),
+    FamilySpec("random_regular", (1, 0, 0)),
+    FamilySpec("random_regular", (2, 1, 1)),
+    FamilySpec("random_regular", (10, 6, 1)),
+], ids=FamilySpec.label)
+def test_random_regular_keeps_every_graph_at_the_full_cap(spec):
+    got = _outcome(random_regular, *spec.params)
+    assert got == _outcome(_shuffle_model, *spec.params)
+    if spec.params == (10, 6, 1):
+        assert got == "RetriesExhausted: no valid (10,6)-regular graph in 1000 attempts"
 
 
 @pytest.mark.parametrize("make", [

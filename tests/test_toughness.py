@@ -342,8 +342,22 @@ def test_joining_path_matches_reference_bfs(case):
         _reference_joining_path(g, terminals, removed)
 
 
+@st.composite
+def _question_graphs(draw):
+    """A random graph on 8 to 12 vertices with edge density 0.15 to 0.4.
+
+    Sparser graphs rarely join two terminals at all, and denser ones put
+    most joining vertices into W(I), which the question removes; in 100
+    draws about 60% of the questions keep a joining path, against 4-8% for
+    ``graphs(12)``, whose short edge lists leave most vertices isolated."""
+    n = draw(st.integers(8, 12))
+    rng = draw(st.randoms(use_true_random=False))
+    density = rng.uniform(0.15, 0.4)
+    return from_edge_list(n, [e for e in combinations(range(n), 2) if rng.random() < density])
+
+
 @settings(deadline=None)
-@given(graphs(12), st.integers(2, 4), st.data())
+@given(_question_graphs(), st.integers(2, 4), st.data())
 def test_separation_search_matches_brute_force(g, q, data):
     sets = independent_sets_of_size(g, q)
     assume(sets)
@@ -485,9 +499,15 @@ def test_subsets_of_size_ascend_like_combinations(n):
 @example(from_edge_list(0, []))
 def test_independent_sets_match_brute_force(g):
     # The one kernel behind alpha and the separation questions: exactly the
-    # independent q-sets I with |W(I)| <= s, each once, with W(I).
+    # independent q-sets I with |W(I)| <= s, each once, with W(I), in the
+    # lexicographic order of their ascending vertex lists, the depth-first
+    # order that the pinned question counts rest on.
+    def vertices(pair):
+        return [v for v in range(g.n) if pair[0] >> v & 1]
+
     for q in range(1, g.n + 2):
         pairs = [(i, _w(g, i)) for i in independent_sets_of_size(g, q)]
         for s in range(g.n + 1):
             got = list(toughness._independent_sets(g, q, s))
-            assert sorted(got) == sorted(p for p in pairs if p[1].bit_count() <= s), (q, s)
+            assert got == sorted((p for p in pairs if p[1].bit_count() <= s), key=vertices), \
+                (q, s)
