@@ -8,14 +8,18 @@ loop over all 2^n - 1 proper subsets gives the largest component count over
 all cuts for the spectral component-count ceiling.  Ratios are exact
 ``fractions.Fraction`` values; floats would make ties ambiguous.
 
-The search rests on one fact: one vertex per component of G-S is an
-independent set.  So c(G-S) <= min(n - s, alpha) when |S| = s, and some
-s-set leaves at least q <= min(n - s, alpha) components exactly when at most
-s vertices outside some independent q-set I separate its vertices from each
-other (pad the separator with vertices outside I; deleting a vertex never
-merges components).  One kernel, ``_independent_sets``, enumerates the
-independent sets for both uses: alpha, and the yes/no questions that decide
-a large size class and find its witness, each answered by a bounded
+The search rests on two facts about I, the least vertex of each of q
+components of G-S.  I is independent, so c(G-S) <= min(n - s, alpha) when
+|S| = s.  And S holds the forced set W(I) | L(I): W(I), the vertices with
+two or more neighbours in I, and L(I), the neighbours of each vertex of I
+below it, as such a neighbour outside S would lie in that component and come
+before its least vertex.  So some s-set leaves at least q <= min(n - s,
+alpha) components exactly when, for some independent q-set I, at most s
+vertices outside I, its forced set among them, separate its vertices from
+each other (pad the separator with vertices outside I; deleting a vertex
+never merges components).  One kernel, ``_independent_sets``, enumerates
+the independent sets for both uses: alpha, and the yes/no questions that
+decide a large size class and find its witness, each answered by a bounded
 branching search on shortest paths between vertices of I.  So no mask of
 such a class is scanned.  Every enumerated mask costs exactly one
 ``count_components`` call, and alpha and the questions make none; the
@@ -66,42 +70,44 @@ def _subsets_of_size(n: int, k: int) -> Iterator[int]:
 
 def _independent_sets(g: Graph, q: int, s: int, fixed: int = 0,
                       allowed: int = -1) -> Iterator[tuple[int, int]]:
-    """Every independent q-set I missing ``fixed`` with |fixed | W(I)| <= s
-    and W(I) inside ``allowed``, as bitmasks (I, fixed | W(I)), where W(I)
-    holds the vertices with two or more neighbours in I.
+    """Every independent q-set I missing ``fixed`` whose forced set F =
+    fixed | W(I) | L(I) has |F| <= s and lies inside ``allowed``, as
+    bitmasks (I, F).  W(I) holds the vertices with two or more neighbours
+    in I, and L(I) the neighbours of each vertex of I that lie below it.
 
-    Take or drop the lowest candidate; cut a branch once too few candidates
-    remain to reach q, or once W leaves ``allowed`` or |fixed | W| > s, as W
-    only grows with I.  The branches are walked depth first on an explicit
-    stack: a frame taking a candidate is set aside with its remaining
-    candidates, and the last vertex of I is yielded at once; q must be at
-    least 1.
+    Take or drop the lowest candidate, so I grows in ascending order and
+    each vertex taken adds its lower neighbours to L(I) at once; cut a
+    branch once too few candidates remain to reach q, or once F leaves
+    ``allowed`` or |F| > s, as F only grows with I.  The branches are
+    walked depth first on an explicit stack: a frame taking a candidate is
+    set aside with its remaining candidates, and the last vertex of I is
+    yielded at once; q must be at least 1.
     """
     adj = g.adj
     forbidden = ~allowed
     last = q - 1
     stack = [(0, (1 << g.n) - 1 & ~fixed, 0, 0, fixed)]
     while stack:
-        size, cand, chosen, once, twice = stack.pop()
+        size, cand, chosen, once, forced = stack.pop()
         while cand and size + cand.bit_count() >= q:
             low = cand & -cand
             cand ^= low
             row = adj[low.bit_length() - 1]
-            w = twice | once & row
-            if w & forbidden or w.bit_count() > s:
+            f = forced | once & row | row & (low - 1)
+            if f & forbidden or f.bit_count() > s:
                 continue
             if size == last:
-                yield chosen | low, w
+                yield chosen | low, f
             else:
-                stack.append((size, cand, chosen, once, twice))
-                size, cand, chosen, once, twice = (
-                    size + 1, cand & ~row, chosen | low, once | row, w)
+                stack.append((size, cand, chosen, once, forced))
+                size, cand, chosen, once, forced = (
+                    size + 1, cand & ~row, chosen | low, once | row, f)
 
 
 def _independence_number(g: Graph) -> int:
     """alpha(G): the largest q for which ``_independent_sets`` finds an
-    independent q-set, counting up from q = 0; with s = n its W bound never
-    cuts a branch."""
+    independent q-set, counting up from q = 0; with s = n and every vertex
+    allowed its forced-set bound never cuts a branch."""
     q = 0
     while next(_independent_sets(g, q + 1, g.n), None):
         q += 1
@@ -215,13 +221,17 @@ def _separable(g: Graph, q: int, s: int, fixed: int = 0, allowed: int = -1) -> b
 
     Such an S exists exactly when some independent q-set I missing
     ``fixed`` is separated by a set of at most s allowed vertices outside I
-    that holds fixed | W(I), and at least s allowed vertices lie outside I,
-    so that the separator pads to exactly s.  So ``_separates`` is asked of
-    each (I, fixed | W(I)) that ``_independent_sets`` yields for this s.
+    that holds its forced set fixed | W(I) | L(I), and at least s allowed
+    vertices lie outside I, so that the separator pads to exactly s: the
+    least vertices of q components of G - S form such an I, separated by S
+    (the module docstring), and any separator pads.  So ``_separates`` is
+    asked only of the pairs (I, forced set) that ``_independent_sets``
+    yields for this s; an I whose forced set does not fit is the set of
+    least vertices of no such S, and is dropped unasked.
     """
     allowed &= (1 << g.n) - 1
-    for i, w in _independent_sets(g, q, s, fixed, allowed):
-        if (allowed & ~i).bit_count() >= s and _separates(g, i, w, s - w.bit_count(), allowed):
+    for i, f in _independent_sets(g, q, s, fixed, allowed):
+        if (allowed & ~i).bit_count() >= s and _separates(g, i, f, s - f.bit_count(), allowed):
             return True
     return False
 
@@ -244,9 +254,9 @@ def _first_mask(g: Graph, s: int, c: int) -> int:
     # Passing ``fixed`` to _separable changes no answer: an S inside
     # fixed | {0..v-1} that missed a placed vertex would come before the
     # witness in ascending order.  It stays because the placed vertices then
-    # start out in W(I) and cut branches early; without it the walk on
-    # rr(18,3,1), as the benchmark's seed 42 relabels it, makes 893
-    # _separates calls instead of 498.
+    # start out in the forced set and cut branches early; without it the
+    # walk on rr(18,3,1), as the benchmark's seed 42 relabels it, makes 194
+    # _separates calls instead of 92.
     fixed, v = 0, g.n
     for k in range(s, 0, -1):
         v -= 1
