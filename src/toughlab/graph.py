@@ -4,13 +4,14 @@ Vertices are labelled 0..n-1 and each adjacency row is a Python int used as a
 bitmask, so set intersections and edge counts reduce to ``&`` and
 ``int.bit_count``.  Everything here is pure and hashable, and a graph never
 changes after construction.  Components are found by one walk,
-``_component_masks``.  On a graph with at most ``HALF_TABLE_MAX_N`` vertices
-it takes one step per BFS layer: two half neighbourhood tables, built with the
-graph, give a layer's neighbourhood in two lookups.  The cut search's BFS for
-joining paths (``toughness._joining_path``) reads the same tables.  A larger
-graph has no tables, and both walks take one step per vertex through its
-adjacency row.  The tables are a field that equality, hashing, ``repr`` and
-the graph6 encoding ignore.
+``_component_masks``, which takes one step per BFS layer: a lookup pair built
+with the graph gives a layer's neighbourhood N(S) as ``lo[S & low] | hi[S >>
+w]``.  The cut search's BFS for joining paths (``toughness._joining_path``)
+reads the same pair.  On a graph with at most ``HALF_TABLE_MAX_N`` vertices
+the pair is two half neighbourhood tables; on a larger one ``lo`` ORs the
+adjacency rows of S and ``hi`` is ``[0]``.  Only this module tells the two
+apart.  The pair is a field that equality, hashing, ``repr`` and the graph6
+encoding ignore.
 """
 
 from __future__ import annotations
@@ -31,8 +32,9 @@ MAX_VERTICES = 64
 # and 2 ms.  Past n = 24 the search runs only under a raised ``max_n``, and
 # there the tables take exact t on rr(26,3,1), rr(26,4,1) and rr(28,3,1)
 # from 1.11, 0.44 and 2.28 s to 0.89, 0.33 and 1.79 s.  Past n = 28 they
-# keep doubling with every two vertices (2^32 entries at n = 64), so larger
-# graphs walk one adjacency row per vertex.
+# keep doubling with every two vertices (2^32 entries at n = 64), so a
+# larger graph reads N(S) through ``_RowUnion``, one adjacency row per vertex
+# of S, still a BFS layer per step.
 HALF_TABLE_MAX_N = 28
 
 GRAPH6_HEADER = ">>graph6<<"
@@ -97,19 +99,21 @@ class Graph:
     n: int
     adj: tuple[int, ...]
     m: int
-    # ``(w, low, lo, hi)`` for the split of 0..n-1 at w = ceil(n/2), or None
-    # past ``HALF_TABLE_MAX_N``.  ``low`` masks vertices 0..w-1, ``lo[x]`` is
-    # N(x) for x inside the low half and ``hi[y]`` is N(y << w), so
-    # N(S) = lo[S & low] | hi[S >> w] for any vertex set S.  Both BFS walks
-    # read them: the component walk and the cut search's joining paths.
-    _halves: tuple[int, int, list[int], list[int]] | None = field(
+    # ``(w, low, lo, hi)`` with N(S) = lo[S & low] | hi[S >> w] for any
+    # vertex set S; ``low`` masks vertices 0..w-1.  Up to ``HALF_TABLE_MAX_N``
+    # w = ceil(n/2), ``lo[x]`` is N(x) for x inside the low half and ``hi[y]``
+    # is N(y << w).  Past it w = n, ``lo`` is a ``_RowUnion`` and ``hi`` is
+    # [0].  Both BFS walks read it: the component walk and the cut search's
+    # joining paths.
+    _halves: tuple[int, int, list[int] | _RowUnion, list[int]] = field(
         init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        halves = None
         if self.n <= HALF_TABLE_MAX_N:
             w = (self.n + 1) // 2
             halves = (w, (1 << w) - 1, _union_table(self.adj[:w]), _union_table(self.adj[w:]))
+        else:
+            halves = (self.n, (1 << self.n) - 1, _RowUnion(self.adj), [0])
         object.__setattr__(self, "_halves", halves)
 
     def degree(self, v: int) -> int:
@@ -131,6 +135,24 @@ def _union_table(rows: tuple[int, ...]) -> list[int]:
     for row in rows:
         table += [t | row for t in table]
     return table
+
+
+class _RowUnion:
+    """``self[x]`` is the union of the adjacency rows over the bits of x: a
+    half table's ``[]`` without the table, one ``|`` per bit of x."""
+
+    __slots__ = ("adj",)
+
+    def __init__(self, adj: tuple[int, ...]) -> None:
+        self.adj = adj
+
+    def __getitem__(self, bits: int) -> int:
+        adj, out = self.adj, 0
+        while bits:
+            v = bits.bit_length() - 1
+            out |= adj[v]
+            bits ^= 1 << v
+        return out
 
 
 def _require_vertex_count(n: int) -> None:
@@ -170,25 +192,9 @@ def components(g: Graph, removed: VertexSet) -> list[VertexSet]:
 
 def _component_masks(g: Graph, avail: int) -> list[int]:
     # The one component walk.  ``rest`` loses each vertex as it is reached,
-    # so a component is what ``rest`` lost since its first vertex.  With the
-    # half tables each step reaches a whole BFS layer, ``front``, in two
-    # lookups; without them (n > HALF_TABLE_MAX_N) each step pops one vertex
-    # and reaches through its adjacency row.
+    # so a component is what ``rest`` lost since its first vertex.  Each step
+    # reaches a whole BFS layer, ``front``, through the graph's lookup pair.
     comps = []
-    if g._halves is None:
-        adj = g.adj
-        while avail:
-            todo = avail & -avail
-            rest = avail ^ todo
-            while todo:
-                low = todo & -todo
-                todo ^= low
-                reached = adj[low.bit_length() - 1] & rest
-                rest ^= reached
-                todo |= reached
-            comps.append(avail ^ rest)
-            avail = rest
-        return comps
     w, low, lo, hi = g._halves
     while avail:
         front = avail & -avail

@@ -132,18 +132,6 @@ def _class_max(g: Graph, s: int, cap: int) -> tuple[int, int]:
     return best_c, best_mask
 
 
-def _neighbourhood(g: Graph, bits: int) -> int:
-    """N(S) for the vertex set S given by ``bits``, one adjacency row per
-    vertex: the fallback for a graph with no half tables (n >
-    ``HALF_TABLE_MAX_N``), where ``_joining_path`` cannot look N(S) up."""
-    out = 0
-    while bits:
-        low = bits & -bits
-        out |= g.adj[low.bit_length() - 1]
-        bits ^= low
-    return out
-
-
 def _joining_path(g: Graph, terminals: int, removed: int) -> int:
     """Interior vertices of a path in G - removed that joins two vertices of
     the independent set ``terminals``; 0 when no path joins two.
@@ -151,14 +139,10 @@ def _joining_path(g: Graph, terminals: int, removed: int) -> int:
     A layer BFS from the lowest terminal not yet known to be alone in its
     component stops at the first layer holding another terminal, so the
     path is a shortest one from that terminal; it is traced back one
-    adjacent vertex per layer.  Each layer is one step: the graph's half
-    neighbourhood tables give N(front) in two lookups, the same tables the
-    component walk reads, and a graph with none takes ``_neighbourhood``'s
-    per-vertex union.
+    adjacent vertex per layer.  Each layer is one step: the graph's lookup
+    pair, the one the component walk reads, gives N(front).
     """
-    halves = g._halves
-    if halves is not None:
-        w, low, lo, hi = halves
+    w, low, lo, hi = g._halves
     free = ~removed & ((1 << g.n) - 1)
     rest = terminals
     while rest:
@@ -167,10 +151,7 @@ def _joining_path(g: Graph, terminals: int, removed: int) -> int:
         layers = [front]
         unseen = free & ~front
         while front:
-            if halves is None:
-                front = _neighbourhood(g, front) & unseen
-            else:
-                front = (lo[front & low] | hi[front >> w]) & unseen
+            front = (lo[front & low] | hi[front >> w]) & unseen
             hit = front & rest
             if hit:
                 x, path = hit & -hit, 0

@@ -66,11 +66,20 @@ class TestFromEdgeList:
     def test_edge_order_leaves_value_unchanged(self):
         # Each graph builds its own half neighbourhood tables; equality,
         # hashing, repr and graph6 see only n, adj and m.
-        edges = two_cycles(24).edges()
-        g, h = from_edge_list(24, edges), from_edge_list(24, edges[::-1])
+        self.assert_edge_order_leaves_value_unchanged(24)
+
+    def test_edge_order_leaves_row_union_value_unchanged(self):
+        # Past the half-table cap each graph builds its own ``_RowUnion``
+        # lookup instead, which the value must ignore just the same.
+        self.assert_edge_order_leaves_value_unchanged(30)
+
+    @staticmethod
+    def assert_edge_order_leaves_value_unchanged(n):
+        edges = two_cycles(n).edges()
+        g, h = from_edge_list(n, edges), from_edge_list(n, edges[::-1])
         assert g == h
         assert hash(g) == hash(h)
-        assert repr(g) == repr(h) == f"Graph(n=24, adj={g.adj!r}, m=24)"
+        assert repr(g) == repr(h) == f"Graph(n={n}, adj={g.adj!r}, m={n})"
         assert emit_graph6(g) == emit_graph6(h)
 
 
@@ -250,8 +259,8 @@ class TestComponentKernel:
         # vertex cap, where removing 1 and 61 leaves the top vertex, 63, as a
         # component of its own.  At n = 23, 24, 27 and 28 the removals leave
         # the top vertex of the high half (22, 23, 26, 27) alone; 27 and 28
-        # are the largest odd and even n with half tables, and n = 29 has
-        # none, so it walks the same case one vertex at a time.  n = 0 has
+        # are the largest odd and even n with half tables, and at n = 29 the
+        # same case reads each layer's neighbourhood row by row.  n = 0 has
         # empty tables and no component.
         g, removed = case
         expected = union_find_groups(g, removed.complement().bits)
@@ -261,6 +270,25 @@ class TestComponentKernel:
         for c in comps:
             assert len(union_find_groups(g, c.bits)) == 1
         assert is_connected(g) == (len(union_find_groups(g, (1 << g.n) - 1)) == 1)
+
+    @given(graphs(MAX_VERTICES).flatmap(
+        lambda g: vertex_subsets(g).map(lambda s: (g, s.bits))))
+    @example((from_edge_list(0, []), 0))
+    @example((two_cycles(28), (1 << 28) - 1))
+    @example((two_cycles(28), 1 << 13 | 1 << 14))
+    @example((two_cycles(29), 1 | 1 << 28))
+    @example((two_cycles(MAX_VERTICES), 1 << 62 | 1 << 63))
+    def test_lookup_gives_the_neighbourhood(self, case):
+        # The one lookup both BFS walks read: half tables up to
+        # HALF_TABLE_MAX_N = 28, row unions past it, as the examples at
+        # n = 28, 29 and 64 check on every run.
+        g, bits = case
+        w, low, lo, hi = g._halves
+        expected = 0
+        for v in range(g.n):
+            if bits >> v & 1:
+                expected |= g.adj[v]
+        assert lo[bits & low] | hi[bits >> w] == expected
 
 
 class TestEdgeCounters:

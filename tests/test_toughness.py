@@ -17,6 +17,7 @@ from toughlab import toughness
 from toughlab.errors import GraphTooLarge, PreconditionViolated
 from toughlab.families import (
     build,
+    circulant,
     complete,
     complete_bipartite,
     cycle,
@@ -27,6 +28,7 @@ from toughlab.families import (
     random_regular,
 )
 from toughlab.graph import (
+    HALF_TABLE_MAX_N,
     components,
     count_components,
     from_edge_list,
@@ -340,7 +342,8 @@ def _path_questions(draw):
 @settings(deadline=None)
 @given(_path_questions())
 # One n each side of HALF_TABLE_MAX_N = 28, and the vertex cap, n = 64.  At
-# n = 28 the path runs from the low table half into the high one.
+# n = 28 the path runs from the low table half into the high one; at n = 29
+# and 64 each BFS layer reads N(S) row by row.
 @example((cycle(28), 1 | 1 << 14, 1 << 1))
 @example((cycle(29), 1 | 1 << 14, 1 << 28))
 @example((random_regular(64, 3, 1), 1 | 1 << 63, 0))
@@ -381,9 +384,10 @@ def test_separation_search_matches_brute_force(g, q, data):
     w = _w(g, terminals)
     assert least >= w.bit_count()
     # Isolated vertices lie on no path, so padding G with them past
-    # ``HALF_TABLE_MAX_N`` = 28, onto the per-vertex BFS, changes no answer.
+    # ``HALF_TABLE_MAX_N`` = 28, where each BFS layer reads N(S) row by row
+    # instead of from half tables, changes no answer.
     padded = from_edge_list(30, g.edges())
-    assert padded._halves is None
+    assert padded.n > HALF_TABLE_MAX_N
     for s in range(g.n - q + 1):
         budget = s - w.bit_count()
         got = budget >= 0 and toughness._separates(g, terminals, w, budget)
@@ -438,6 +442,15 @@ def test_exact_toughness_reaches_n24():
     # that still scanned its witness class mask by mask.
     result = exact_toughness(random_regular(24, 3, 1))
     assert (result.t, result.components, result.witness.bits) == (Fraction(6, 5), 10, 3320407)
+
+
+def test_exact_toughness_past_the_half_tables():
+    # n = 30 > HALF_TABLE_MAX_N: a connected search whose walks read N(S)
+    # row by row.  C30(1, 5) is bipartite, so the even side leaves 15
+    # isolated odd vertices.
+    result = exact_toughness(circulant(30, 1, 5), 30)
+    assert (result.t, result.components, list(result.witness)) == (
+        Fraction(1), 15, list(range(0, 30, 2)))
 
 
 @settings(deadline=None)
