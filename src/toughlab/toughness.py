@@ -3,9 +3,12 @@
 This is the one module that enumerates vertex cuts.  Two independent code
 paths compute t: a pruned size-class search (the production route) and a
 naive all-subsets oracle that cross-validates it in the tests and computes
-the benchmark's golden frontier values (``bench/make_golden.py``).  One
-loop over all 2^n - 1 proper subsets gives the largest component count over
-all cuts for the spectral component-count ceiling.  Ratios are exact
+the benchmark's golden frontier values (``bench/make_golden.py``).  Both
+take one witness rule: the least size s that attains t, then the first
+s-set in ascending mask order.  So the oracle returns the search's own
+result, its t, witness and component count alike.  One loop
+over all 2^n - 1 proper subsets gives the largest component count over all
+cuts for the spectral component-count ceiling.  Ratios are exact
 ``fractions.Fraction`` values; floats would make ties ambiguous.
 
 The search rests on two facts about I, the least vertex of each of q
@@ -306,13 +309,20 @@ def exact_toughness(g: Graph, max_n: int = DEFAULT_MAX_N) -> ToughnessResult | N
 
 
 def naive_toughness(g: Graph) -> ToughnessResult | None:
-    """Unpruned all-subsets oracle.  Test cross-check only; O(2^n)."""
+    """Unpruned all-subsets oracle, O(2^n): the search's own result.
+
+    One ascending loop over the 2^n - 1 proper subsets, one
+    ``count_components`` call each.  A cut replaces the incumbent only when
+    its (ratio, size) pair is smaller, so the witness is the least size
+    attaining t, then the first mask of that size, as in
+    ``exact_toughness``.  Test cross-check and golden frontier t only.
+    """
     _require_connected(g, "toughness")
     best = None
     for mask in range((1 << g.n) - 1):
-        c = count_components(g, mask)
-        if c >= 2 and (best is None or Fraction(mask.bit_count(), c) < best.t):
-            best = ToughnessResult(Fraction(mask.bit_count(), c), VertexSet(g.n, mask), c)
+        s, c = mask.bit_count(), count_components(g, mask)
+        if c >= 2 and (best is None or (Fraction(s, c), s) < (best.t, len(best.witness))):
+            best = ToughnessResult(Fraction(s, c), VertexSet(g.n, mask), c)
     return best
 
 

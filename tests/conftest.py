@@ -1,4 +1,5 @@
 import os
+import random
 from pathlib import Path
 
 import pytest
@@ -65,6 +66,14 @@ def graphs(max_n=12):
             max_size=3 * n,
         ).map(lambda edges: from_edge_list(n, edges))
     )
+
+
+def relabel(g, seed):
+    """The benchmark's frontier relabelling (bench/workloads.py), copied so
+    that the tests do not import the benchmark."""
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return from_edge_list(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
 
 
 def two_cycles(n):

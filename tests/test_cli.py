@@ -2,7 +2,6 @@ import hashlib
 import io
 import json
 import os
-import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -15,6 +14,8 @@ from toughlab.errors import GraphTooLarge
 from toughlab.families import complete, kneser, petersen, random_regular
 from toughlab.graph import VertexSet, emit_edge_list, emit_graph6, from_edge_list
 from toughlab.toughness import toughness_of_cut
+
+from conftest import relabel
 
 
 @pytest.fixture
@@ -349,17 +350,11 @@ def test_analyze_byte_identical_across_runs(petersen_file):
     assert first.stdout == second.stdout
 
 
-def _relabelled(g, seed):
-    perm = list(range(g.n))
-    random.Random(seed).shuffle(perm)
-    return from_edge_list(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
-
-
 @pytest.mark.parametrize("make_input, flags, digest", [
     (lambda: emit_graph6(petersen()) + "\n",
      "--toughness --bounds --mixing exhaustive --component-bound --partition",
      "0bc9a4c4e896b2a6132621d642d61060818204991da7780a37314fc73a4ba057"),
-    (lambda: emit_edge_list(_relabelled(random_regular(18, 3, 1), 42)),
+    (lambda: emit_edge_list(relabel(random_regular(18, 3, 1), 42)),
      "--toughness --bounds --partition",
      "d6e642ffb412b1f9686735d9470cf93b9c5debf012a8dd0034170ab261ce3fa3"),
     (lambda: emit_graph6(kneser(7, 3)) + "\n",

@@ -1,4 +1,3 @@
-import random
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -41,7 +40,7 @@ from toughlab.toughness import (
     _subsets_of_size,
 )
 
-from conftest import count_calls, graphs, independence_number, independent_sets_of_size
+from conftest import count_calls, graphs, independence_number, independent_sets_of_size, relabel
 
 
 def test_complete_graph_undefined():
@@ -114,16 +113,12 @@ def test_toughness_of_cut_examples():
      random_regular(10, 3, 7), complete(1)],
 )
 def test_pruned_matches_naive_oracle(g):
-    pruned = exact_toughness(g)
-    naive = naive_toughness(g)
-    if naive is None:  # K1: connected, and no proper cut disconnects it
-        assert pruned is None
-        return
-    assert pruned.t == naive.t
-    assert pruned.components == naive.components
-    # both witnesses attain the value
-    assert toughness_of_cut(g, pruned.witness) == pruned.t
-    assert toughness_of_cut(g, naive.witness) == pruned.t
+    # The whole result: t, the component count and the witness, which both
+    # take as the first mask of the least size attaining t.  K1 is
+    # connected, and no proper cut disconnects it: None from both.
+    result = exact_toughness(g)
+    assert result == naive_toughness(g)
+    assert result is None or toughness_of_cut(g, result.witness) == result.t
 
 
 def test_witness_determinism():
@@ -140,6 +135,8 @@ def test_witness_determinism():
         (max_components_over_cuts, petersen(), 1023),
         (max_components_over_cuts, cycle(6), 63),
         (max_components_over_cuts, from_edge_list(3, []), 7),
+        # The oracle prunes nothing: every proper subset once.
+        (naive_toughness, petersen(), 1023),
         # Without the alpha prune and the in-class stop: 6,476 and 39,203.
         # hypercube 4 scans classes 0-4 whole; the seed (n - alpha)/alpha = 1
         # is its t, and questions find the witness in class 8.
@@ -149,7 +146,7 @@ def test_witness_determinism():
         (exact_toughness, complete(6), 0),
     ],
     ids=["petersen", "petersen_all_cuts", "cycle_6_all_cuts", "edgeless_3_all_cuts",
-         "rr_14_3_46", "hypercube_4", "complete_6"],
+         "petersen_oracle", "rr_14_3_46", "hypercube_4", "complete_6"],
 )
 def test_one_count_components_call_per_mask(scan, g, calls, monkeypatch):
     # The tracer counts enumerated masks by wrapping the module-global
@@ -160,26 +157,8 @@ def test_one_count_components_call_per_mask(scan, g, calls, monkeypatch):
     assert seen[0] == calls
 
 
-def _reference_scan(g):
-    """The size-class scan with neither alpha bound: every mask of every
-    class until s/(n - s) cannot beat the incumbent.  (t, c, witness bits)."""
-    n = g.n
-    best_s = best_c = best_mask = 0
-    for s in range(n - 1):
-        if best_c and s * best_c >= best_s * (n - s):
-            break
-        c, mask = 1, 0
-        for m in _subsets_of_size(n, s):
-            k = count_components(g, m)
-            if k > c:
-                c, mask = k, m
-        if c > 1 and (not best_c or s * best_c < best_s * c):
-            best_s, best_c, best_mask = s, c, mask
-    return (Fraction(best_s, best_c), best_c, best_mask) if best_c else None
-
-
-# The corpus graphs up to n = 14, and four n = 16 graphs whose many large
-# classes the reference scan still covers in under 0.1 s each.  The
+# The corpus graphs up to n = 14, and four n = 16 graphs with many large
+# classes, on which the all-subsets oracle takes 0.04-0.13 s each.  The
 # cocktail-party circulant answers no in all seven of its large classes and
 # takes its witness from class 14, which is scanned.
 WITNESS_GRAPHS = {
@@ -218,9 +197,7 @@ def test_alpha_prunes_keep_the_witness(g, request, monkeypatch):
     # The pinned analyze digests and the benchmark's witness check depend on
     # the exact first-mask witness, not only on t and c.
     asked = count_calls(monkeypatch, "_separable")
-    result = exact_toughness(g)
-    got = result and (result.t, result.components, result.witness.bits)
-    assert got == _reference_scan(g)
+    assert exact_toughness(g) == naive_toughness(g)
     assert asked[0] == QUESTIONS.get(request.node.callspec.id, 0)
 
 
@@ -228,18 +205,12 @@ def test_alpha_prunes_keep_the_witness(g, request, monkeypatch):
 @given(graphs(11).filter(is_connected))
 @example(complete(1))
 @example(complete(7))
+# t = 1 both at {0, 2, 3}, which leaves 3 components, and at {3, 5}, which
+# leaves 2: the smaller cut is the witness, though its mask is the larger.
+@example(from_edge_list(7, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 2), (1, 3),
+                            (2, 4), (2, 5), (3, 4), (3, 6), (5, 6)]))
 def test_search_matches_reference_scan(g):
-    result = exact_toughness(g)
-    got = result and (result.t, result.components, result.witness.bits)
-    assert got == _reference_scan(g)
-
-
-def _relabel(g, seed):
-    # The benchmark's frontier relabelling (bench/workloads.py), copied so
-    # that the tests do not import the benchmark.
-    perm = list(range(g.n))
-    random.Random(seed).shuffle(perm)
-    return from_edge_list(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+    assert exact_toughness(g) == naive_toughness(g)
 
 
 @pytest.mark.parametrize(
@@ -273,7 +244,7 @@ def test_frontier_inputs_keep_the_witness(n, d, seed, t, c, witness, calls, ques
     seen = count_calls(monkeypatch, "count_components")
     asked = count_calls(monkeypatch, "_separable")
     searched = count_calls(monkeypatch, "_separates")
-    result = exact_toughness(_relabel(random_regular(n, d, 1), seed))
+    result = exact_toughness(relabel(random_regular(n, d, 1), seed))
     assert (result.t, result.components, result.witness.bits) == (t, c, witness)
     assert seen[0] == calls
     assert asked[0] == questions
@@ -433,12 +404,12 @@ def test_least_vertex_transversals_force_their_lower_neighbours(g):
 def test_alpha_prunes_keep_the_witness_at_n18(d, witness):
     g = random_regular(18, d, 1)
     result = exact_toughness(g)
-    assert (result.t, result.components, result.witness.bits) == _reference_scan(g)
+    assert result == naive_toughness(g)
     assert result.witness.bits == witness
 
 
 def test_exact_toughness_reaches_n24():
-    # Too large for the reference scan; the values are those of the search
+    # Too large for the oracle in the tests; the values are those of the search
     # that still scanned its witness class mask by mask.
     result = exact_toughness(random_regular(24, 3, 1))
     assert (result.t, result.components, result.witness.bits) == (Fraction(6, 5), 10, 3320407)
