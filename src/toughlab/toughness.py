@@ -11,22 +11,25 @@ over all 2^n - 1 proper subsets gives the largest component count over all
 cuts for the spectral component-count ceiling.  Ratios are exact
 ``fractions.Fraction`` values; floats would make ties ambiguous.
 
-The search rests on two facts about I, the least vertex of each of q
-components of G-S.  I is independent, so c(G-S) <= min(n - s, alpha) when
-|S| = s.  And S holds the forced set W(I) | L(I): W(I), the vertices with
-two or more neighbours in I, and L(I), the neighbours of each vertex of I
-below it, as such a neighbour outside S would lie in that component and come
-before its least vertex.  So some s-set leaves at least q <= min(n - s,
-alpha) components exactly when, for some independent q-set I, at most s
-vertices outside I, its forced set among them, separate its vertices from
-each other (pad the separator with vertices outside I; deleting a vertex
-never merges components).  One kernel, ``_independent_sets``, enumerates
-the independent sets for both uses: alpha, and the yes/no questions that
-decide a large size class and find its witness, each answered by a bounded
-branching search on shortest paths between vertices of I.  So no mask of
-such a class is scanned.  Every enumerated mask costs exactly one
-``count_components`` call, and alpha and the questions make none; the
-benchmark counts cuts by counting those calls.
+The search rests on two facts about I, the least vertices of the q
+components of G-S whose least vertices are smallest.  I is independent, so
+c(G-S) <= min(n - s, alpha) when |S| = s.  And S holds the forced set
+W(I) | L(I) | {v < min I}: W(I), the vertices with two or more neighbours in
+I; L(I), the neighbours of each vertex of I below it, as such a neighbour
+outside S would lie in that component and come before its least vertex; and
+the prefix {v < min I}, as a vertex below min I outside S would lie in a
+component with a smaller least vertex, one of the q.  So some s-set leaves
+at least q <= min(n - s, alpha) components exactly when, for some
+independent q-set I, at most s vertices outside I, its forced set among
+them, separate its vertices from each other (pad the separator with
+vertices outside I; deleting a vertex never merges components).  One
+kernel, ``_independent_sets``, enumerates the independent sets for both
+uses: alpha, and the yes/no questions that decide a large size class and
+find its witness, each answered by a bounded branching search on shortest
+paths between vertices of I.  So no mask of such a class is scanned.
+Every enumerated mask costs exactly one ``count_components`` call, and
+alpha and the questions make none; the benchmark counts cuts by counting
+those calls.
 """
 
 from __future__ import annotations
@@ -42,10 +45,15 @@ from .graph import Graph, VertexSet, _require_connected, count_components
 # Past this the subset space is no longer a desk-scale computation.
 DEFAULT_MAX_N = 24
 # A size class with at most this many masks is scanned whole; questions to
-# ``_separable`` alone decide a larger one.  Petersen's largest class has
-# C(10, 5) = 252 masks, so its classes stay scanned, and with them the
-# benchmark's self-test count of 638 masks; every class up to n = 13 does too.
-CLASS_SCAN_MAX = 2000
+# ``_separable`` alone decide a larger one, so they start at n = 11, in
+# class 4 of C(11, 4) = 330 masks.  Petersen's largest class has C(10, 5) =
+# 252 masks, so its classes stay scanned, and with them the benchmark's
+# self-test count of 638 masks; no smaller value keeps it.  252 also sits on
+# the cost plateau of exact t over 200 random connected graphs with n =
+# 11-16, none of them benchmark inputs (min of 7 interleaved runs, one
+# process on a 2-core Intel Xeon): 51 ms with every class asked, 45 at 64,
+# 52 at 128, 55 at 252, 85 at 500 and 250 at 2,000.
+CLASS_SCAN_MAX = comb(10, 5)
 # The unpruned scan counts components for all 2^n - 1 proper subsets.
 COMPONENT_BOUND_MAX_N = 12
 
@@ -74,17 +82,22 @@ def _subsets_of_size(n: int, k: int) -> Iterator[int]:
 def _independent_sets(g: Graph, q: int, s: int, fixed: int = 0,
                       allowed: int = -1) -> Iterator[tuple[int, int]]:
     """Every independent q-set I missing ``fixed`` whose forced set F =
-    fixed | W(I) | L(I) has |F| <= s and lies inside ``allowed``, as
-    bitmasks (I, F).  W(I) holds the vertices with two or more neighbours
-    in I, and L(I) the neighbours of each vertex of I that lie below it.
+    fixed | W(I) | L(I) | {v < min I} has |F| <= s and lies inside
+    ``allowed``, as bitmasks (I, F).  W(I) holds the vertices with two or
+    more neighbours in I, and L(I) the neighbours of each vertex of I that
+    lie below it.
 
     Take or drop the lowest candidate, so I grows in ascending order and
     each vertex taken adds its lower neighbours to L(I) at once; cut a
     branch once too few candidates remain to reach q, or once F leaves
-    ``allowed`` or |F| > s, as F only grows with I.  The branches are
-    walked depth first on an explicit stack: a frame taking a candidate is
-    set aside with its remaining candidates, and the last vertex of I is
-    yielded at once; q must be at least 1.
+    ``allowed`` or |F| > s, as F only grows with I.  At the top level each
+    vertex passed over joins the prefix, so the first vertex taken starts F
+    at fixed | {v < min I}; once that prefix no longer fits, no later first
+    vertex can, and the walk ends, after the sets of the vertex taken with
+    the last prefix that fits.  The branches are walked depth first on an
+    explicit stack: a frame taking a candidate is set aside with its
+    remaining candidates, and the last vertex of I is yielded at once; q
+    must be at least 1.
     """
     adj = g.adj
     forbidden = ~allowed
@@ -97,7 +110,11 @@ def _independent_sets(g: Graph, q: int, s: int, fixed: int = 0,
             cand ^= low
             row = adj[low.bit_length() - 1]
             f = forced | once & row | row & (low - 1)
+            if not size:
+                forced |= low
             if f & forbidden or f.bit_count() > s:
+                if not size:
+                    return
                 continue
             if size == last:
                 yield chosen | low, f
@@ -205,10 +222,11 @@ def _separable(g: Graph, q: int, s: int, fixed: int = 0, allowed: int = -1) -> b
 
     Such an S exists exactly when some independent q-set I missing
     ``fixed`` is separated by a set of at most s allowed vertices outside I
-    that holds its forced set fixed | W(I) | L(I), and at least s allowed
-    vertices lie outside I, so that the separator pads to exactly s: the
-    least vertices of q components of G - S form such an I, separated by S
-    (the module docstring), and any separator pads.  So ``_separates`` is
+    that holds its forced set fixed | W(I) | L(I) | {v < min I}, and at
+    least s allowed vertices lie outside I, so that the separator pads to
+    exactly s: the least vertices of the q components of G - S whose least
+    vertices are smallest form such an I, separated by S (the module
+    docstring), and any separator pads.  So ``_separates`` is
     asked only of the pairs (I, forced set) that ``_independent_sets``
     yields for this s; an I whose forced set does not fit is the set of
     least vertices of no such S, and is dropped unasked.
@@ -267,15 +285,18 @@ def exact_toughness(g: Graph, max_n: int = DEFAULT_MAX_N) -> ToughnessResult | N
     stops at the first class where need > cap; cap never grows with s, so
     no later class can count either.
 
-    A class of more than ``CLASS_SCAN_MAX`` masks is not scanned.
-    ``_separable`` is asked for q = need, then need + 1, and so on while it
-    says yes and q <= cap; the last yes is the class maximum, and a first no
-    means the class does not count.  The answers are exact by the fact in
-    the module docstring, as q <= n - s leaves room to pad a separator.  No
-    prune skips a class or mask holding a ratio at most the seed and below
-    the incumbent, so the witness is the first mask, in enumeration order,
-    attaining the minimum.  It lies in the last class that counted; if
-    questions decided that class, ``_first_mask`` finds it by questions too.
+    A class of more than ``CLASS_SCAN_MAX`` masks, which first occurs at
+    n = 11, is not scanned.  ``_separable`` is asked for q = need, then
+    need + 1, and so on while it says yes and q <= cap; the last yes is the
+    class maximum, and a first no means the class does not count.  The
+    answers are exact by the fact in the module docstring, as q <= n - s
+    leaves room to pad a separator; each question asks only of the
+    independent q-sets that can be the least vertices of the q least
+    components, each with its forced set, prefix included.  No prune skips a
+    class or mask holding a ratio at most the seed and below the incumbent,
+    so the witness is the first mask, in enumeration order, attaining the
+    minimum.  It lies in the last class that counted; if questions decided
+    that class, ``_first_mask`` finds it by questions too.
     """
     if g.n > max_n:
         raise GraphTooLarge(

@@ -98,7 +98,9 @@ def test_determinism():
 
 def reference_jacobi_eigh(a0):
     """Per-column cyclic Jacobi: rotate A's columns, then its rows, then V's
-    columns.  The fused row rotation in ``spectra`` must match it bit for bit."""
+    columns.  The fused row rotation in ``spectra`` must match it bit for bit.
+    Theta is formed from Python floats, as the solver forms it: a tiny a[p, q]
+    then gives an infinite theta quietly, where numpy scalars would warn."""
     a = a0.copy()
     n = a.shape[0]
     v = np.eye(n)
@@ -109,10 +111,10 @@ def reference_jacobi_eigh(a0):
             return np.diagonal(a).copy(), v
         for p in range(n - 1):
             for q in range(p + 1, n):
-                apq = a[p, q]
+                apq = float(a[p, q])
                 if apq == 0.0:
                     continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
+                theta = (float(a[q, q]) - float(a[p, p])) / (2.0 * apq)
                 sign = 1.0 if theta >= 0.0 else -1.0
                 t = sign / (abs(theta) + math.hypot(theta, 1.0))
                 c = 1.0 / math.sqrt(t * t + 1.0)
@@ -146,18 +148,15 @@ def test_jacobi_matches_reference_on_corpus(corpus):
         assert_jacobi_bit_identical(g)
 
 
+# ``test_jacobi_column_p_once_per_p_loop`` compares the spectral_wide
+# graphs (Kneser(7,3) and (8,3), hypercube 6, C40(1, 5, 9) among them).
 @pytest.mark.parametrize("g", [
-    kneser(7, 3),
     hypercube(5),
     random_regular(20, 3, 1),
-    circulant(40, 1, 5, 9),
-    kneser(8, 3),
-    hypercube(6),
     from_edge_list(5, [(i, i + 1) for i in range(4)]),
     from_edge_list(1, []),
     from_edge_list(2, [(0, 1)]),
-], ids=["kneser7_3", "hypercube5", "rr20_3_1", "circulant40_1_5_9",
-        "kneser8_3", "hypercube6", "path5", "n1", "n2"])
+], ids=["hypercube5", "rr20_3_1", "path5", "n1", "n2"])
 def test_jacobi_matches_reference(g):
     assert_jacobi_bit_identical(g)
 
@@ -183,6 +182,9 @@ def test_jacobi_column_p_once_per_p_loop():
 @example(from_edge_list(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]))
 @example(from_edge_list(1, []))
 @example(from_edge_list(2, [(0, 1)]))
+# A rotation meets an a[p, q] so small that theta overflows to infinity.
+@example(from_edge_list(15, [(0, 1), (0, 11), (2, 9), (2, 11), (3, 5), (3, 11), (4, 7),
+                             (4, 8), (4, 10), (4, 12), (6, 11), (6, 13), (7, 10)]))
 def test_jacobi_bit_identical_on_random_graphs(g):
     assert_jacobi_bit_identical(g)
 

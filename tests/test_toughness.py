@@ -90,6 +90,10 @@ def test_size_cap():
         ("random_regular 10 3 7", Fraction(4, 3), (0, 2, 3, 7), 3),
         ("random_regular 16 3 1", Fraction(7, 6), (1, 6, 7, 9, 10, 13, 15), 6),
         ("circulant 12 1 5", Fraction(1), (0, 2, 4, 6, 8, 10), 6),
+        # The kernel stops at the first least vertex whose prefix {v < min I}
+        # no longer fits the class, after that vertex's own sets; a stop that
+        # skipped them too found {8, 9, 10, 11, 12, 13}, with the same t and c.
+        ("random_regular 14 4 11", Fraction(3, 2), (0, 9, 10, 11, 12, 13), 4),
     ],
 )
 def test_pinned_witnesses(spec, t, witness, comps):
@@ -138,10 +142,11 @@ def test_witness_determinism():
         # The oracle prunes nothing: every proper subset once.
         (naive_toughness, petersen(), 1023),
         # Without the alpha prune and the in-class stop: 6,476 and 39,203.
-        # hypercube 4 scans classes 0-4 whole; the seed (n - alpha)/alpha = 1
-        # is its t, and questions find the witness in class 8.
-        (exact_toughness, random_regular(14, 3, 46), 1471),
-        (exact_toughness, hypercube(4), 2517),
+        # Both scan classes 0-2 whole, 1 + n + C(n, 2) masks, and questions
+        # decide the rest; the seed (n - alpha)/alpha = 1 is hypercube 4's t,
+        # and questions find its witness in class 8.
+        (exact_toughness, random_regular(14, 3, 46), 106),
+        (exact_toughness, hypercube(4), 137),
         # alpha = 1: t is undefined, and no class is scanned.
         (exact_toughness, complete(6), 0),
     ],
@@ -174,21 +179,35 @@ WITNESS_GRAPHS = {
 
 # Separation questions each witness graph asks, for the class maxima and,
 # when questions decided the witness class, for its witness: only classes of
-# more than CLASS_SCAN_MAX masks ask any, which first happens at n = 14, in
-# C(14, 7) = 3,432.
+# more than CLASS_SCAN_MAX = C(10, 5) = 252 masks ask any, which first
+# happens at n = 11, in class 4 of C(11, 4) = 330 masks.
 QUESTIONS = {
-    "random_regular_14_3_10": 1,
-    "random_regular_14_4_11": 18,
-    "random_regular_14_3_22": 1,
-    "random_regular_14_4_23": 17,
-    "random_regular_14_3_34": 15,
-    "random_regular_14_4_35": 18,
-    "random_regular_14_5_36": 16,
-    "random_regular_14_4_47": 18,
-    "hypercube_4": 19,
-    "circulant_16_1_2_3_4_5_6_7": 7,
-    "circulant_16_1_4": 20,
-    "random_regular_16_5_1": 21,
+    "cycle_11": 1,
+    "cycle_12": 2,
+    "circulant_12_1_5": 14,
+    "random_regular_12_3_7": 1,
+    "random_regular_12_4_8": 15,
+    "random_regular_12_5_9": 14,
+    "random_regular_14_3_10": 3,
+    "random_regular_14_4_11": 20,
+    "random_regular_12_3_19": 16,
+    "random_regular_12_4_20": 16,
+    "random_regular_14_3_22": 16,
+    "random_regular_14_4_23": 19,
+    "random_regular_12_3_31": 14,
+    "random_regular_12_4_32": 14,
+    "random_regular_12_5_33": 16,
+    "random_regular_14_3_34": 18,
+    "random_regular_14_4_35": 20,
+    "random_regular_14_5_36": 18,
+    "random_regular_12_3_43": 16,
+    "random_regular_12_4_44": 16,
+    "random_regular_14_3_46": 2,
+    "random_regular_14_4_47": 20,
+    "hypercube_4": 21,
+    "circulant_16_1_2_3_4_5_6_7": 11,
+    "circulant_16_1_4": 22,
+    "random_regular_16_5_1": 23,
 }
 
 
@@ -216,12 +235,12 @@ def test_search_matches_reference_scan(g):
 @pytest.mark.parametrize(
     "n, d, seed, t, c, witness, calls, questions, searches",
     [
-        (18, 3, 42, Fraction(7, 6), 6, 203785, 988, 26, 537),
-        (20, 3, 42, Fraction(9, 8), 8, 766002, 1351, 30, 620),
-        (18, 4, 42, Fraction(3, 2), 4, 5072, 988, 22, 326),
-        (18, 3, 7, Fraction(7, 6), 6, 142612, 988, 25, 427),
-        (20, 3, 7, Fraction(9, 8), 8, 986629, 1351, 30, 826),
-        (18, 4, 7, Fraction(3, 2), 4, 70220, 988, 24, 316),
+        (18, 3, 42, Fraction(7, 6), 6, 203785, 172, 28, 541),
+        (20, 3, 42, Fraction(9, 8), 8, 766002, 211, 31, 571),
+        (18, 4, 42, Fraction(3, 2), 4, 5072, 172, 23, 304),
+        (18, 3, 7, Fraction(7, 6), 6, 142612, 172, 27, 443),
+        (20, 3, 7, Fraction(9, 8), 8, 986629, 211, 31, 831),
+        (18, 4, 7, Fraction(3, 2), 4, 70220, 172, 25, 292),
     ],
     ids=["rr18_3_seed42", "rr20_3_seed42", "rr18_4_seed42",
          "rr18_3_seed7", "rr20_3_seed7", "rr18_4_seed7"],
@@ -238,9 +257,10 @@ def test_frontier_inputs_keep_the_witness(n, d, seed, t, c, witness, calls, ques
     # ones included, which the module global routes through the counter.
     # Each call finds its joining paths by BFS, so a layer step that reached
     # a different neighbourhood would change the branching and this count,
-    # and so would a forced set W(I) | L(I) that lost L(I): the questions
-    # then ask of every I, not only of least-vertex transversals, and on
-    # these graphs make 5.5 to 7.5 times as many calls.
+    # and so would a forced set W(I) | L(I) | {v < min I} that lost a part:
+    # without L(I) the questions ask of every I, not only of least-vertex
+    # transversals, and on these graphs make 3.2 to 5.5 times as many calls;
+    # without the prefix {v < min I}, 1.2 to 1.4 times as many.
     seen = count_calls(monkeypatch, "count_components")
     asked = count_calls(monkeypatch, "_separable")
     searched = count_calls(monkeypatch, "_separates")
@@ -259,6 +279,12 @@ def _w(g, terminals):
 def _lower(g, terminals):
     """L(I): the vertices adjacent to some vertex of I above them."""
     return sum(1 << v for v in range(g.n) if (g.adj[v] & terminals) >> v + 1)
+
+
+def _forced(g, terminals, fixed=0):
+    """fixed | W(I) | L(I) | {v < min I}: what every S whose q least
+    components have the least vertices I must hold."""
+    return fixed | _w(g, terminals) | _lower(g, terminals) | (terminals & -terminals) - 1
 
 
 def _separated(g, terminals, removed):
@@ -382,22 +408,25 @@ def test_separable_decides_the_class_maximum(g):
 @given(_question_graphs())
 @example(petersen())
 def test_least_vertex_transversals_force_their_lower_neighbours(g):
-    # The fact the questions rest on: for every cut S and any q >= 2 of the
-    # components of G - S, the least vertices of those components form an
-    # independent I with W(I) | L(I) inside S, and so ``_independent_sets``
-    # yields that I for s = |S| with its forced set inside S.
+    # The fact the questions rest on: for every cut S and every q >= 2, the
+    # least vertices of the q components of G - S whose least vertices are
+    # smallest form an independent I whose forced set W(I) | L(I) |
+    # {v < min I} lies inside S, and so ``_independent_sets`` yields that I
+    # for s = |S| with its forced set inside S.  A vertex below min I
+    # outside S would lie in a component with a smaller least vertex, one of
+    # the q; other choices of q components need not put their prefix in S.
     yielded = {}
     for mask in range((1 << g.n) - 1):
-        least = [comp.bits & -comp.bits for comp in components(g, VertexSet(g.n, mask))]
+        least = sorted(comp.bits & -comp.bits
+                       for comp in components(g, VertexSet(g.n, mask)))
         for q in range(2, len(least) + 1):
             key = q, mask.bit_count()
             if key not in yielded:
                 yielded[key] = dict(toughness._independent_sets(g, q, key[1]))
-            for chosen in combinations(least, q):
-                i = sum(chosen)
-                assert not any(g.adj[u.bit_length() - 1] & i for u in chosen), (mask, i)
-                assert not (_w(g, i) | _lower(g, i)) & ~mask, (mask, i)
-                assert i in yielded[key] and not yielded[key][i] & ~mask, (mask, i)
+            i = sum(least[:q])
+            assert not any(g.adj[u.bit_length() - 1] & i for u in least[:q]), (mask, i)
+            assert not _forced(g, i) & ~mask, (mask, i)
+            assert i in yielded[key] and not yielded[key][i] & ~mask, (mask, i)
 
 
 @pytest.mark.parametrize("d, witness", [(3, 0x34942), (4, 0x80AE)], ids=["d3", "d4"])
@@ -422,6 +451,22 @@ def test_exact_toughness_past_the_half_tables():
     result = exact_toughness(circulant(30, 1, 5), 30)
     assert (result.t, result.components, list(result.witness)) == (
         Fraction(1), 15, list(range(0, 30, 2)))
+
+
+@pytest.mark.parametrize(
+    "n, t, c, witness",
+    [
+        (26, Fraction(9, 8), 8, (3, 5, 6, 10, 11, 14, 15, 20, 25)),
+        (28, Fraction(13, 12), 12, (0, 2, 4, 7, 11, 13, 14, 20, 21, 22, 23, 24, 27)),
+    ],
+    ids=["rr26_3_1", "rr28_3_1"],
+)
+def test_exact_toughness_above_the_cap(n, t, c, witness):
+    # Past DEFAULT_MAX_N, where the all-subsets oracle takes too long:
+    # questions decide every class above 2 and find the witness.  CI checks
+    # the same values through ``analyze --toughness --force``.
+    result = exact_toughness(random_regular(n, 3, 1), n)
+    assert (result.t, result.components, tuple(result.witness)) == (t, c, witness)
 
 
 @settings(deadline=None)
@@ -509,19 +554,50 @@ def test_subsets_of_size_ascend_like_combinations(n):
 
 
 @settings(deadline=None)
-@given(graphs(12))
-@example(from_edge_list(0, []))
-def test_independent_sets_match_brute_force(g):
+@given(graphs(12), st.integers(-1, 4095), st.integers(0, 4095))
+@example(from_edge_list(0, []), -1, 0)
+def test_independent_sets_match_brute_force(g, allowed, fixed):
     # The one kernel behind alpha and the separation questions: exactly the
-    # independent q-sets I with |W(I) | L(I)| <= s, each once, with that
-    # forced set, in the lexicographic order of their ascending vertex
-    # lists, the depth-first order that the pinned question counts rest on.
+    # independent q-sets I missing ``fixed`` whose forced set F = fixed |
+    # W(I) | L(I) | {v < min I} has |F| <= s and lies inside ``allowed``,
+    # each once, with that forced set, in the lexicographic order of their
+    # ascending vertex lists, the depth-first order that the pinned question
+    # counts rest on.  The kernel stops at the first least vertex whose
+    # prefix no longer fits, after that vertex's own sets.  A mutant stop
+    # that skipped them too failed this test, the prefix examples below,
+    # ``test_constrained_separable_matches_brute_force`` and the witness
+    # tests, the pinned witness of random_regular 14 4 11 among them.
+    # allowed = -1, the default, allows every vertex.
+    full = (1 << g.n) - 1
+    if allowed != -1:
+        allowed &= full
+    fixed &= allowed & full
+
     def vertices(pair):
         return [v for v in range(g.n) if pair[0] >> v & 1]
 
     for q in range(1, g.n + 2):
-        pairs = [(i, _w(g, i) | _lower(g, i)) for i in independent_sets_of_size(g, q)]
+        pairs = sorted(((i, _forced(g, i, fixed)) for i in independent_sets_of_size(g, q)
+                        if not i & fixed and not _forced(g, i, fixed) & ~allowed), key=vertices)
         for s in range(g.n + 1):
-            got = list(toughness._independent_sets(g, q, s))
-            assert got == sorted((p for p in pairs if p[1].bit_count() <= s), key=vertices), \
-                (q, s)
+            got = list(toughness._independent_sets(g, q, s, fixed, allowed))
+            assert got == [p for p in pairs if p[1].bit_count() <= s], (q, s)
+
+
+@pytest.mark.parametrize(
+    "g, q, s, pairs",
+    [
+        # No edges: F is the prefix alone, so min I <= s.  Vertex 1's prefix
+        # {0} fits s = 1, though the next one, {0, 1}, does not.
+        (from_edge_list(4, []), 2, 1,
+         [(0b0011, 0), (0b0101, 0), (0b1001, 0), (0b0110, 0b1), (0b1010, 0b1)]),
+        # The path 0-1-2-3-4: {1, 3} forces its prefix {0}, which is also
+        # L(1), and W = L(3) = {2}; {2, 4} would force {0, 1, 3}.
+        (from_edge_list(5, [(0, 1), (1, 2), (2, 3), (3, 4)]), 2, 2,
+         [(0b00101, 0b10), (0b01001, 0b100), (0b10001, 0b1000), (0b01010, 0b101),
+          (0b10010, 0b1001)]),
+    ],
+    ids=["edgeless_4", "path_5"],
+)
+def test_least_vertex_prefix_examples(g, q, s, pairs):
+    assert list(toughness._independent_sets(g, q, s)) == pairs
